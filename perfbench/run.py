@@ -10,8 +10,11 @@ captured, on input files generated from the seed.  Every op is cold: the
 ``functools`` caches found in the package are cleared before it.  Every
 output is checked with the benchmark's own exact arithmetic (checks.py).
 A per-op wall deadline (SIGALRM) and an address-space cap (RLIMIT_AS) guard
-the process; an op that hits either, raises or exits with an unexpected code
-is counted as failed and recorded with its inputs.
+the process; an op that hits either is counted as failed and recorded with
+its inputs.  An op that raises or exits with an unexpected code is counted
+as failed too, and is also a check problem.  The first run of each
+``chambers`` op is made in a forked child, so that a Fourier-Motzkin
+blow-up never sets the peak memory of the benchmark process.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs the ops
 once untraced and once with spans around every layer (tracing.py) and
@@ -23,6 +26,7 @@ when an output check fails, 2 when the package cannot be found.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -57,6 +61,12 @@ MODULES = ("linalg", "model", "zariski", "chambers", "plot", "gallery", "cli")
 # pointwise): an FM blow-up hits it within about a second
 MEMORY_CAP_MB = {"atlas-sparse": 64, "atlas-dense": 64, "pointwise": 128}
 SETUP_RUNS = 21
+# kinds whose ops can grow to the memory cap (Fourier-Motzkin in the Weyl
+# atlas): their first run is in a forked child, and only ops that complete
+# there run in the benchmark process
+FORK_KINDS = {"chambers"}
+# statuses of an op stopped by a guard; any other failure is a check problem
+GUARD_STATUSES = ("deadline", "memory")
 COLD_REPEATS = 3
 # a repeat faster than this share of the first run means a cache survived
 COLD_MIN_RATIO = 0.25
@@ -84,6 +94,7 @@ class OpResult:
     problems: list[str] = field(default_factory=list)
     stdout_bytes: int = 0
     svg_bytes: int = 0
+    forked: bool = False
 
 
 def import_package() -> dict:
@@ -109,6 +120,9 @@ def find_caches() -> list[tuple[str, object]]:
 
 
 def setup(workload: str, seed: int, work: Path):
+    # every set-up starts from a collected heap, so that the collections
+    # inside it, and their cost, are the same each time
+    gc.collect()
     start = time.perf_counter()
     modules = import_package()
     inputs = workloads.make_inputs(workload, seed, modules["gallery"], modules["model"])
@@ -176,7 +190,8 @@ class Runner:
         if status == "ok" and code not in workloads.EXPECTED_EXIT[op.kind]:
             status = "exit %s" % (code,)
         if status != "ok":
-            return OpResult(status, elapsed, code, _digest(op.label, "failed"))
+            problems = [] if status in GUARD_STATUSES else ["%s: %s" % (op.label, status)]
+            return OpResult(status, elapsed, code, _digest(op.label, "failed"), problems)
 
         stdout = out.getvalue()
         svg = (self.work / op.svg).read_bytes() if op.svg else b""
@@ -186,6 +201,33 @@ class Runner:
         self.checked[op.label] = digest
         return OpResult(status, elapsed, code, digest, problems,
                         len(stdout.encode("utf-8")), len(svg))
+
+    def run_forked(self, op: workloads.Op) -> OpResult:
+        """``run`` in a forked child, which sends its result back through a
+        pipe; the child's memory never counts in this process's peak."""
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_end)
+            try:
+                payload = json.dumps(dataclasses.asdict(self.run(op))).encode("utf-8")
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            payload = pipe.read()
+        _, wait_status, _ = os.wait4(pid, 0)
+        if payload:
+            result = OpResult(**json.loads(payload))
+        else:
+            status = "child died, wait status %d" % wait_status
+            result = OpResult(status, 0.0, None, _digest(op.label, "failed"),
+                              ["%s: %s" % (op.label, status)])
+        result.forked = True
+        self.checked[op.label] = result.digest
+        return result
 
     def check(self, op: workloads.Op, code: int, stdout: str, svg: bytes) -> list[str]:
         m = self.models[op.model]
@@ -216,14 +258,15 @@ class Pass:
     wall: float
 
 
-def one_pass(runner: Runner, ops, todo, stop_at: float | None = None) -> Pass:
+def one_pass(runner: Runner, ops, todo, stop_at: float | None = None, fork=False) -> Pass:
     """Run ops[i] for i in ``todo``; stop early only when ``stop_at`` has passed."""
     start = time.perf_counter()
     results: list[OpResult | None] = [None] * len(ops)
+    run = runner.run_forked if fork else runner.run
     for i in todo:
         if stop_at is not None and time.perf_counter() >= stop_at:
             break
-        results[i] = runner.run(ops[i])
+        results[i] = run(ops[i])
     return Pass(results, time.perf_counter() - start)
 
 
@@ -235,16 +278,35 @@ def warm_up(runner: Runner, ops) -> None:
             break
 
 
-def measure(runner: Runner, ops, seconds: float) -> list[Pass]:
-    """One full pass, then passes over the ops that completed until
-    ``seconds`` have elapsed.  A failed op is not repeated: its latency is
-    charged at the deadline whatever a repeat would do."""
-    stop_at = time.perf_counter() + seconds
-    passes = [one_pass(runner, ops, range(len(ops)))]
-    again = [i for i, r in enumerate(passes[0].results) if r.status == "ok"]
-    while again and time.perf_counter() < stop_at:
-        passes.append(one_pass(runner, ops, again, stop_at))
-    return passes
+def measure(runner: Runner, ops, seconds: float) -> tuple[list[OpResult], list[Pass]]:
+    """The first run of every op, and the timed passes.
+
+    Ops of FORK_KINDS first run in forked children, untimed.  Then, after
+    the warm-up, each kind of op in turn gets an equal share of ``seconds``:
+    one full timed pass over its ops that did not fail in a child, then
+    passes over those that completed until the share is used.  Without the
+    shares, the plot ops took four fifths of every pointwise pass, and each
+    decompose op got one or two runs, so that a single held-up run (one in
+    a few hundred is held up by about 10 ms here) set the decompose tail.
+    A failed op is not repeated: its latency is charged at the deadline
+    whatever a repeat would do."""
+    probe = one_pass(runner, ops, [i for i, op in enumerate(ops) if op.kind in FORK_KINDS],
+                     fork=True)
+    first = probe.results[:]
+    todo = [i for i, r in enumerate(first) if r is None or r.status == "ok"]
+    warm_up(runner, [ops[i] for i in todo])
+    kinds = list(dict.fromkeys(ops[i].kind for i in todo))
+    passes = []
+    for kind in kinds:
+        stop_at = time.perf_counter() + seconds / len(kinds)
+        mine = [i for i in todo if ops[i].kind == kind]
+        passes.append(one_pass(runner, ops, mine))
+        for i in mine:
+            first[i] = first[i] or passes[-1].results[i]
+        again = [i for i in mine if passes[-1].results[i].status == "ok"]
+        while again and time.perf_counter() < stop_at:
+            passes.append(one_pass(runner, ops, again, stop_at))
+    return first, passes
 
 
 def traced_passes(runner: Runner, modules: dict, ops) -> tuple[Pass, Pass, tracing.Tracer]:
@@ -273,12 +335,16 @@ def _tail(values: list[float]) -> tuple[float, float, int]:
     return ordered[i], 100.0 * (i + 1) / len(ordered), len(ordered) - 1 - i
 
 
-def end_to_end(workload: str, ops, passes: list[Pass], setup_s: float) -> tuple[dict, list[str]]:
+def end_to_end(workload: str, ops, first: list[OpResult], passes: list[Pass],
+               setup_s: float) -> tuple[dict, list[str]]:
     """Metrics named in BENCHMARK.json, plus the report lines that
     give them under their per-workload names."""
-    first = passes[0].results
     ok = [r.status == "ok" for r in first]
-    spent = [statistics.median(p.results[i].elapsed for p in passes if p.results[i])
+    # an op's latency is the median of its timed runs (the fastest run
+    # follows the short windows in which this machine runs fast, and spread
+    # 0.31 between seeds on pointwise); a failed op has only its first run
+    spent = [statistics.median([p.results[i].elapsed for p in passes if p.results[i]]
+                               or [first[i].elapsed])
              for i in range(len(ops))]
     # a failed op misses any latency limit: charge it at least its deadline
     latency = [t if ok[i] else max(t, workloads.DEADLINE_S[ops[i].kind])
@@ -301,7 +367,7 @@ def end_to_end(workload: str, ops, passes: list[Pass], setup_s: float) -> tuple[
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     unit = "ms" if scale > 1 else "s"
     lines = [
-        "  %-20s %12.4f s    (median of %d set-ups)" % ("setup_s", setup_s, SETUP_RUNS),
+        "  %-20s %12.4f s    (lower quartile of %d set-ups)" % ("setup_s", setup_s, SETUP_RUNS),
         "  %-20s %12.4f %s" % (names[0], p50 * scale, unit),
         "  %-20s %12.4f %s   (p%.1f, %d of %d %s ops beyond)"
         % (names[1], tail * scale, unit, pct, beyond, len(q_lat), query),
@@ -321,7 +387,7 @@ def end_to_end(workload: str, ops, passes: list[Pass], setup_s: float) -> tuple[
 
 
 def per_layer(ops, traced: Pass, summary: dict, overhead_s: float, untraced_wall: float,
-              runner: Runner, spans: int, repeat_ratio: float) -> dict:
+              runner: Runner) -> dict:
     count, self_s = summary["count"], summary["self_s"]
     positive, longest = summary["positive"], summary["longest_s"]
 
@@ -345,7 +411,6 @@ def per_layer(ops, traced: Pass, summary: dict, overhead_s: float, untraced_wall
         "linalg.solve_calls": (count.get("linalg.solve", 0), "count"),
         "linalg.solve_self_s": (self_s.get("linalg.solve", 0.0), "s"),
         "linalg.det_inv_self_s": (self_s.get("linalg.det_inv", 0.0), "s"),
-        "model.lookup_calls": (count.get("model.lookup", 0), "count"),
         "model.lookup_self_s": (self_s.get("model.lookup", 0.0), "s"),
         "model.cache_hits": (runner.cache_hits, "count"),
         "model.cache_misses": (runner.cache_misses, "count"),
@@ -356,7 +421,6 @@ def per_layer(ops, traced: Pass, summary: dict, overhead_s: float, untraced_wall
     for part in ("nd_search", "zariski_atlas", "witness", "criteria", "ade", "weyl_atlas", "bijection"):
         m["chambers.%s_self_s" % part] = (self_s.get("chambers." + part, 0.0), "s")
     m.update({
-        "cli.main_self_s": (self_s.get(tracing.ROOT_SPAN, 0.0), "s"),
         "cli.report_self_s": (self_s.get("cli.report", 0.0), "s"),
         "cli.report_bytes": (sum(r.stdout_bytes for r in traced.results), "bytes"),
         "plot.classify_calls_per_plot": (ratio(count.get("plot.classify", 0), plots), "count"),
@@ -368,19 +432,18 @@ def per_layer(ops, traced: Pass, summary: dict, overhead_s: float, untraced_wall
         m["layer.%s_self_s" % layer] = (
             sum(v for k, v in self_s.items() if k.split(".")[0] == layer), "s")
     m.update({
-        "trace.spans": (spans, "count"),
         "trace.overhead_s": (overhead_s, "s"),
         "trace.overhead_share": (ratio(overhead_s, untraced_wall), "ratio"),
-        "cold.repeat_ratio": (repeat_ratio, "ratio"),
     })
     return m
 
 
 def cold_repeat(runner: Runner, ops, passes: list[Pass]) -> float:
     """Re-run the query op of median latency: the cold repeat must take about
-    as long as the first run (a surviving cache would make it nearly free)."""
-    first = passes[0].results
-    cands = sorted((r.elapsed, i) for i, r in enumerate(first)
+    as long as its first timed run (a surviving cache would make it nearly
+    free)."""
+    timed = {i: r for p in reversed(passes) for i, r in enumerate(p.results) if r is not None}
+    cands = sorted((r.elapsed, i) for i, r in timed.items()
                    if r.status == "ok" and ops[i].kind in ("chambers", "decompose"))
     elapsed, i = cands[len(cands) // 2]
     repeats = [runner.run(ops[i]).elapsed for _ in range(COLD_REPEATS)]
@@ -388,20 +451,14 @@ def cold_repeat(runner: Runner, ops, passes: list[Pass]) -> float:
 
 
 def _git_commit() -> str | None:
-    head = ROOT / ".git" / "HEAD"
     try:
-        ref = head.read_text().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        path = ROOT / ".git" / ref[5:]
-        if path.exists():
-            return path.read_text().strip()
-        for line in (ROOT / ".git" / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref[5:]):
-                return line.split()[0]
+        # --git-dir: outside a git checkout, git must not look in parent
+        # directories
+        proc = subprocess.run(["git", "--git-dir", str(ROOT / ".git"), "rev-parse", "HEAD"],
+                              capture_output=True, text=True)
     except OSError:
         return None
-    return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_workload(args) -> int:
@@ -409,6 +466,10 @@ def run_workload(args) -> int:
         print("perfbench: no %s package under %s" % (PACKAGE, SRC), file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    # cache the package's bytecode under src/, as an installed package has
+    # it, whatever PYTHONDONTWRITEBYTECODE says: without it every set-up
+    # compiles the package and takes twice as long
+    sys.dont_write_bytecode = False
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = MEMORY_CAP_MB[args.workload] << 20
     if hard != resource.RLIM_INFINITY:
@@ -421,30 +482,32 @@ def run_workload(args) -> int:
     for _ in range(SETUP_RUNS):
         elapsed, modules, inputs = setup(args.workload, args.seed, work)
         setups.append(elapsed)
-    setup_s = statistics.median(setups)
+    # the lower quartile: interference from other tenants can slow a run of
+    # consecutive set-ups threefold, which moved the median between seeds
+    setup_s = statistics.quantiles(setups, n=4)[0]
     ops = inputs.ops
     runner = Runner(modules, inputs, work)
     home = os.getcwd()
     os.chdir(work)
     try:
-        warm_up(runner, ops)
         if args.trace:
+            warm_up(runner, ops)
             untraced, traced, tracer = traced_passes(runner, modules, ops)
+            first = untraced.results
             passes = [untraced]
-            all_passes = passes + [traced]
+            later_passes = [traced]
         else:
-            passes = measure(runner, ops, args.seconds)
-            all_passes = passes
+            first, passes = measure(runner, ops, args.seconds)
+            later_passes = passes
         repeat_ratio = cold_repeat(runner, ops, passes)
     finally:
         os.chdir(home)
 
-    first = passes[0].results
     problems = [p for r in first for p in r.problems]
     mismatched = 0
-    for later in all_passes[1:]:
+    for later in later_passes:
         for i, r in enumerate(later.results):
-            if r is not None and r.status == "ok" and first[i].status == "ok":
+            if r is not None and r is not first[i] and first[i].status == "ok":
                 problems.extend(r.problems)
                 mismatched += r.digest != first[i].digest
     if mismatched:
@@ -459,15 +522,14 @@ def run_workload(args) -> int:
                 for i, r in enumerate(first) if r.status != "ok"]
     if args.trace:
         overhead = traced.wall - passes[0].wall
-        metrics = per_layer(ops, traced, tracer.summary(), overhead, passes[0].wall, runner,
-                            len(tracer), repeat_ratio)
+        metrics = per_layer(ops, traced, tracer.summary(), overhead, passes[0].wall, runner)
         OUT_DIR.mkdir(exist_ok=True)
         span_file = OUT_DIR / ("spans-%s-seed%d.tsv.gz" % (args.workload, args.seed))
         tracer.write(span_file)
         lines = ["  %-34s %14.6g %s" % (k, v, u) for k, (v, u) in metrics.items()]
         lines.append("  spans written to %s" % span_file.relative_to(ROOT))
     else:
-        metrics, lines = end_to_end(args.workload, ops, passes, setup_s)
+        metrics, lines = end_to_end(args.workload, ops, first, passes, setup_s)
 
     shutil.rmtree(work, ignore_errors=True)
     record = {
@@ -484,6 +546,8 @@ def run_workload(args) -> int:
         "memory_cap_mb": cap >> 20,
         "setup_runs_s": setups,
         "passes": len(passes),
+        "forked_first_runs": sum(1 for r in first if r.forked),
+        "spans": len(tracer) if args.trace else 0,
         "ops": len(ops),
         "failures": failures,
         "op_latency_s": {op.label: [round(p.results[i].elapsed, 6) for p in passes if p.results[i]]

@@ -11,7 +11,9 @@ kept: the cost of the Weyl atlas depends on it through the Fourier-Motzkin
 elimination order (one n=7 graph takes 0.3 s or more than 8 s depending on
 the labelling), and drawing labellings or graphs from the seed spread the
 median and tail latency between seeds by 0.13 to 0.48 of their value, more
-than any usable bound.  README.md has the figures.
+than any usable bound.  README.md has the figures.  For the same reason the
+pointwise workload queries a fixed pool of random configurations, and the
+seed draws the divisors, the model each one goes to and the op order.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ ATLAS = {
 POINTWISE = "pointwise"
 WORKLOADS = tuple(ATLAS) + (POINTWISE,)
 
-# pointwise: decompose queries per pass, random models they spread over,
-# and the plot ops (gallery models plus one random configuration)
-DECOMPOSE_OPS = 1500
+# pointwise: decompose queries per pass, random configurations they spread
+# over (graph seeds 0..5, n = 6..9, density 0.2), and the plot ops (gallery
+# models plus the first of those configurations)
+DECOMPOSE_OPS = 500
 DECOMPOSE_MODELS = 6
+DECOMPOSE_DENSITY = 0.2
 PLOT_MODELS = ("quartic", "double-cover", "random")
 PLOT_RESOLUTIONS = (200, 400)
 
@@ -118,17 +122,10 @@ def pointwise_inputs(seed: int, gallery, model) -> Inputs:
         inputs, "double-cover", model.model_to_document(gallery.double_cover_example().model)
     )
     targets = [quartic]
-    for i in range(DECOMPOSE_MODELS):
-        n = 6 + i % 4
-        graph_seed = rng.randrange(1 << 30)
-        doc = model.model_to_document(gallery.random_configuration(graph_seed, n, 0.2))
-        targets.append(_add_model(inputs, "config-%d" % i, doc))
-    plot_seed = rng.randrange(1 << 30)
-    plot_random = _add_model(
-        inputs,
-        "plot-random",
-        model.model_to_document(gallery.random_configuration(plot_seed, 6, 0.2)),
-    )
+    for graph_seed in range(DECOMPOSE_MODELS):
+        config = gallery.random_configuration(graph_seed, 6 + graph_seed % 4, DECOMPOSE_DENSITY)
+        targets.append(_add_model(inputs, "config-%d" % graph_seed, model.model_to_document(config)))
+    plot_random = targets[1]
 
     decompose = []
     for i in range(DECOMPOSE_OPS):
@@ -148,7 +145,7 @@ def pointwise_inputs(seed: int, gallery, model) -> Inputs:
             svg = "plot-%s-%d.svg" % (name, res)
             meta = {"workload": POINTWISE, "seed": seed, "model": path, "res": res}
             if name == "random":
-                meta.update(n=6, density=0.2, graph_seed=plot_seed)
+                meta.update(n=6, density=DECOMPOSE_DENSITY, graph_seed=0)
             plots.append(
                 Op("plot", "plot %s --res %d" % (path, res),
                    ["plot", path, "--res", str(res), "-o", svg], meta, path,
