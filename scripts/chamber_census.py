@@ -34,7 +34,7 @@ def main() -> int:
         n = seed % (args.max_curves + 1)
         m = gallery.random_configuration(seed, n, args.density)
         atlas = chambers.enumerate_zariski_chambers(m)
-        bij = chambers.verify_bijection(m)
+        bij = chambers.verify_bijection(atlas, chambers.enumerate_weyl_chambers(m))
         if not bij.equal:
             print("MISMATCH at seed %d: %r" % (seed, bij))
             return 1

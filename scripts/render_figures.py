@@ -13,7 +13,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from k3chambers import gallery
-from k3chambers.plot import MODE_BOTH, CrossSectionSpec, render_cross_section
+from k3chambers.plot import (
+    MODE_BOTH,
+    CrossSectionSpec,
+    classify_cross_section,
+    render_cross_section,
+)
 
 
 def main() -> int:
@@ -28,7 +33,7 @@ def main() -> int:
     for entry_id in gallery.GALLERY_IDS:
         entry = gallery.gallery_entry(entry_id)
         t0 = time.monotonic()
-        svg = render_cross_section(entry.model, spec)
+        svg = render_cross_section(entry.model, classify_cross_section(entry.model, spec))
         path = outdir / ("%s_chambers.svg" % entry_id.replace("-", "_"))
         path.write_bytes(svg.encode("utf-8"))
         print("%-14s -> %s  (%.1fs, %d bytes)"

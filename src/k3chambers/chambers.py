@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import linalg, model, zariski
-from .errors import NotBig, NotNegativeDefinite, UnrecognizedDiagram
+from .errors import NotBig, NotNegativeDefinite, UnrecognizedDiagram, require
 from .linalg import LinearSystemFeasibility, SignConstraint
 from .model import DivisorClass, SurfaceModel
 
@@ -130,7 +129,6 @@ def zariski_chamber_of(m: SurfaceModel, d: DivisorClass) -> ChamberSignature:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def negative_definite_subsets(m: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     """All curve-index sets with negative definite restricted Gram, plus the
     empty set, by hereditary breadth-first growth."""
@@ -157,7 +155,6 @@ def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...]) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
     records = []
     for s in negative_definite_subsets(m):
@@ -192,7 +189,6 @@ def weyl_sign_system(m: SurfaceModel, s) -> LinearSystemFeasibility:
     return LinearSystemFeasibility(n, rows, frozenset(range(n)))
 
 
-@lru_cache(maxsize=None)
 def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
     """Independent enumeration of the simple Weyl chambers by exhaustive
     sign-pattern feasibility.  Exponential in the curve count by design;
@@ -212,10 +208,10 @@ def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
     return ChamberAtlas(ChamberKind.WEYL, tuple(records))
 
 
-def verify_bijection(m: SurfaceModel) -> BijectionReport:
+def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> BijectionReport:
     """Compare the two independently enumerated families as set families."""
-    z = set(enumerate_zariski_chambers(m).supports)
-    w = set(enumerate_weyl_chambers(m).supports)
+    z = set(zariski_atlas.supports)
+    w = set(weyl_atlas.supports)
     only_z = tuple(sorted(z - w, key=lambda s: (len(s), s)))
     only_w = tuple(sorted(w - z, key=lambda s: (len(s), s)))
     return BijectionReport(not only_z and not only_w, only_z, only_w)
@@ -240,14 +236,17 @@ def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
     h = model.ample_pairings(m)
     sub = model.restrict_gram(m, s)
     sol = linalg.solve_linear(sub, [Fraction(-1) - h[j] for j in s])
-    assert all(a >= 0 for a in sol)
+    require(all(a >= 0 for a in sol), "weyl_witness: negative coefficient")
     a = [Fraction(0)] * model.curve_count(m)
     for pos, j in enumerate(s):
         a[j] = sol[pos]
     d = model.divisor_from_ample_and_curves(m, 1, a)
     dots = model.pairings_with_curves(m, d)
-    assert all(dots[j] == -1 for j in s)
-    assert all(dots[c] > 0 for c in range(model.curve_count(m)) if c not in s)
+    require(all(dots[j] == -1 for j in s), "weyl_witness: pairing with the support is not -1")
+    require(
+        all(dots[c] > 0 for c in range(model.curve_count(m)) if c not in s),
+        "weyl_witness: nonpositive pairing outside the support",
+    )
     return d
 
 
@@ -279,7 +278,7 @@ def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:
     t = s + {cprime}, add back the solution of the all(-1) pairing system on
     t, then shrink the cprime coefficient to a quarter of the smallest
     s-coefficient.  The resulting sign pattern (positive on cprime, negative
-    on s) is asserted per instance.
+    on s) is checked per instance.
     """
     s = tuple(sorted(set(s)))
     if not s or cprime in s:
@@ -293,7 +292,10 @@ def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:
     sub = model.restrict_gram(m, t)
     x = linalg.solve_linear(sub, [-h[j] for j in t])
     c = linalg.solve_linear(sub, [Fraction(-1)] * len(t))
-    assert all(v > 0 for v in x) and all(v > 0 for v in c)
+    require(
+        all(v > 0 for v in x) and all(v > 0 for v in c),
+        "weyl_only_witness: nonpositive solution",
+    )
     coeff = dict(zip(t, c))
     coeff[cprime] = Fraction(1, 4) * min(coeff[j] for j in s)
     a = [Fraction(0)] * model.curve_count(m)
@@ -301,9 +303,12 @@ def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:
         a[j] = x[pos] + coeff[j]
     d = model.divisor_from_ample_and_curves(m, 1, a)
     dots = model.pairings_with_curves(m, d)
-    assert dots[cprime] > 0
-    assert all(dots[j] < 0 for j in s)
-    assert all(dots[k] > 0 for k in range(model.curve_count(m)) if k not in t)
+    require(dots[cprime] > 0, "weyl_only_witness: nonpositive pairing with the extra curve")
+    require(all(dots[j] < 0 for j in s), "weyl_only_witness: nonnegative pairing on the support")
+    require(
+        all(dots[k] > 0 for k in range(model.curve_count(m)) if k not in t),
+        "weyl_only_witness: nonpositive pairing outside the support",
+    )
     return d
 
 
@@ -441,15 +446,6 @@ def classify_ade(m: SurfaceModel, s) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def signature_to_document(m: SurfaceModel, sig: ChamberSignature) -> dict:
-    names = model.curve_names(m)
-    return {
-        "kind": sig.kind.value,
-        "support": [names[i] for i in sig.support],
-        "boundary": sig.boundary,
-    }
 
 
 def atlas_to_document(m: SurfaceModel, atlas: ChamberAtlas) -> dict:

@@ -3,7 +3,8 @@
 Every subcommand prints a deterministic JSON report on standard output
 (reports carry a top-level schema_version).  Exit codes: 0 on success, 2 on
 invalid input, 3 when a query is mathematically infeasible (non-big divisor,
-non-negative-definite curve set, unsupported divisor form).
+non-negative-definite curve set, unsupported divisor form), 4 when an
+internal invariant check fails (a bug, reported as internal_invariant).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     DegenerateCorners,
     IndexOutOfRange,
     InvalidModel,
+    InvariantViolated,
     ModeMismatch,
     ModeUnsupported,
     NotBig,
@@ -129,7 +131,7 @@ def _cmd_chambers(args) -> int:
     _banner()
     z = chambers.enumerate_zariski_chambers(m)
     w = chambers.enumerate_weyl_chambers(m)
-    bij = chambers.verify_bijection(m)
+    bij = chambers.verify_bijection(z, w)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -225,14 +227,9 @@ def _cmd_plot(args) -> int:
     spec = plot.CrossSectionSpec(
         corners=corners, resolution=args.res, coloring=args.mode
     )
-    svg = plot.render_cross_section(m, spec)
-    Path(args.output).write_bytes(svg.encode("utf-8"))
     cs = plot.classify_cross_section(m, spec)
-    kinds = (
-        [plot.MODE_WEYL, plot.MODE_ZARISKI]
-        if args.mode == plot.MODE_BOTH
-        else [args.mode]
-    )
+    svg = plot.render_cross_section(m, cs)
+    Path(args.output).write_bytes(svg.encode("utf-8"))
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -249,7 +246,7 @@ def _cmd_plot(args) -> int:
                         )
                     ],
                 }
-                for kind in kinds
+                for kind in cs.kinds
             },
         }
     )
@@ -268,6 +265,8 @@ def _cmd_gallery(args) -> int:
 def _cmd_random(args) -> int:
     if args.n < 0 or args.n > 12:
         raise InvalidModel("curve count must be between 0 and 12")
+    if not 0 <= args.density <= 1:
+        raise InvalidModel("edge density must be between 0 and 1")
     m = gallery.random_configuration(args.seed, args.n, args.density)
     _emit(model.model_to_document(m))
     return 0
@@ -326,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="print a seeded random configuration model")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.4)
+    p.add_argument(
+        "--density", type=float, default=0.4,
+        help="chance that two curves meet, between 0 and 1",
+    )
     p.set_defaults(func=_cmd_random)
 
     return parser
@@ -361,6 +363,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit(_error_doc(exc, "invalid_input"))
         return 2
+    except InvariantViolated as exc:
+        _emit(_error_doc(exc, exc.code))
+        return 4
 
 
 if __name__ == "__main__":

@@ -59,3 +59,16 @@ class UnrecognizedDiagram(K3ChambersError):
 
 class DegenerateCorners(K3ChambersError):
     code = "degenerate_corners"
+
+
+class InvariantViolated(K3ChambersError):
+    """An internal invariant failed: a bug in the package, not bad input.
+    Raised by explicit checks so that they also run under ``python -O``."""
+
+    code = "internal_invariant"
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise InvariantViolated with the message unless the condition holds."""
+    if not condition:
+        raise InvariantViolated(message)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -43,6 +43,24 @@ class SurfaceModel:
     ample_coords: Vec | None = None
     ample_dots: Vec | None = None
     ample_self: Fraction | None = None
+
+    # lazy, so that validate_model reports a malformed model instead of raising
+    @cached_property
+    def curve_gram(self) -> Mat:
+        """The curve-curve intersection matrix."""
+        if self.mode is Mode.CONFIGURATION:
+            return self.gram
+        vecs = [c.coords for c in self.curves]
+        gw = [linalg.mat_vec(self.gram, w) for w in vecs]
+        return tuple(tuple(linalg.dot(v, x) for x in gw) for v in vecs)
+
+    @cached_property
+    def ample_pairings(self) -> Vec:
+        """Intersection of the ample class with each listed curve."""
+        if self.mode is Mode.CONFIGURATION:
+            return self.ample_dots
+        gh = linalg.mat_vec(self.gram, self.ample_coords)
+        return tuple(linalg.dot(c.coords, gh) for c in self.curves)
 
 
 @dataclass(frozen=True)
@@ -97,24 +115,12 @@ def curve_names(m: SurfaceModel) -> tuple[str, ...]:
     return tuple(c.name for c in m.curves)
 
 
-@lru_cache(maxsize=None)
 def curve_gram(m: SurfaceModel) -> Mat:
-    """The curve-curve intersection matrix."""
-    if m.mode is Mode.CONFIGURATION:
-        return m.gram
-    vecs = [c.coords for c in m.curves]
-    return tuple(
-        tuple(linalg.dot(v, linalg.mat_vec(m.gram, w)) for w in vecs) for v in vecs
-    )
+    return m.curve_gram
 
 
-@lru_cache(maxsize=None)
 def ample_pairings(m: SurfaceModel) -> Vec:
-    """Intersection of the ample class with each listed curve."""
-    if m.mode is Mode.CONFIGURATION:
-        return m.ample_dots
-    gh = linalg.mat_vec(m.gram, m.ample_coords)
-    return tuple(linalg.dot(c.coords, gh) for c in m.curves)
+    return m.ample_pairings
 
 
 def ample_square(m: SurfaceModel) -> Fraction:
@@ -368,6 +374,8 @@ def model_from_document(doc) -> SurfaceModel:
         gram = linalg.mat([[_rat_from_json(x) for x in row] for row in doc["gram"]])
         curves = []
         for c in doc["curves"]:
+            if not isinstance(c, dict):
+                raise InvalidModel("curve entry %r is not a JSON object" % (c,))
             coords = c.get("coords")
             curves.append(
                 Curve(str(c["name"]), None if coords is None else tuple(_rat_from_json(x) for x in coords))

@@ -59,6 +59,13 @@ class CrossSection:
 
     resolution: int
     samples: tuple
+    corners: tuple[DivisorClass, DivisorClass, DivisorClass]
+    coloring: str
+
+    @property
+    def kinds(self) -> list[str]:
+        """The panels drawn: one per chamber kind in the coloring."""
+        return [MODE_WEYL, MODE_ZARISKI] if self.coloring == MODE_BOTH else [self.coloring]
 
     def attained_supports(self, kind: str) -> set[tuple[int, ...]]:
         out = set()
@@ -110,19 +117,6 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _validate_spec(m: SurfaceModel, spec: CrossSectionSpec):
-    if spec.resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if spec.coloring not in (MODE_WEYL, MODE_ZARISKI, MODE_BOTH):
-        raise ValueError("coloring must be weyl, zariski or both")
-    corners = spec.corners if spec.corners is not None else default_corners(m)
-    if len(corners) != 3:
-        raise DegenerateCorners("exactly three corners required")
-    if _rank(_corner_matrix(m, corners)) != 3:
-        raise DegenerateCorners("corner classes are linearly dependent")
-    return corners
-
-
 def _scan_tables(m: SurfaceModel):
     """Integer adjugate/determinant data for every negative definite
     support, in (size, lex) order."""
@@ -144,7 +138,15 @@ def _scan_tables(m: SurfaceModel):
 
 
 def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSection:
-    corners = _validate_spec(m, spec)
+    if spec.resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    if spec.coloring not in (MODE_WEYL, MODE_ZARISKI, MODE_BOTH):
+        raise ValueError("coloring must be weyl, zariski or both")
+    corners = spec.corners if spec.corners is not None else default_corners(m)
+    if len(corners) != 3:
+        raise DegenerateCorners("exactly three corners required")
+    if _rank(_corner_matrix(m, corners)) != 3:
+        raise DegenerateCorners("corner classes are linearly dependent")
     res = spec.resolution
     n = model.curve_count(m)
 
@@ -226,7 +228,7 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
             for i in range(level + 1):
                 u1, u2, u3 = 3 * i + 2, 3 * (level - i) + 2, k3d
                 samples.append((u1, u2, u3, *classify(u1, u2, u3)))
-    return CrossSection(res, tuple(samples))
+    return CrossSection(res, tuple(samples), corners, spec.coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def _xy(u1: int, u2: int, u3: int, scale3: int) -> tuple[Fraction, Fraction]:
     return x, y
 
 
-def _panel(m: SurfaceModel, cs: CrossSection, kind: str, corners, offset_x: int) -> list[str]:
+def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[str]:
     names = model.curve_names(m)
     res = cs.resolution
     scale3 = 3 * res
@@ -344,7 +346,7 @@ def _panel(m: SurfaceModel, cs: CrossSection, kind: str, corners, offset_x: int)
                 acc[2] += 1
 
     # corner labels
-    corner_names = _corner_names(m, corners)
+    corner_names = _corner_names(m, cs.corners)
     anchors = [
         (pix(scale3, 0, 0), "start"),
         (pix(0, scale3, 0), "end"),
@@ -414,21 +416,18 @@ def _corner_names(m: SurfaceModel, corners) -> list[str]:
     return names
 
 
-def render_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> str:
-    """Classify the grid and produce an SVG 1.1 document (a single panel,
-    or two side-by-side panels when coloring mode is 'both')."""
-    corners = _validate_spec(m, spec)
-    cs = classify_cross_section(m, spec)
-    kinds = [MODE_WEYL, MODE_ZARISKI] if spec.coloring == MODE_BOTH else [spec.coloring]
+def render_cross_section(m: SurfaceModel, cs: CrossSection) -> str:
+    """Draw a classified grid as an SVG 1.1 document (a single panel, or two
+    side-by-side panels when coloring mode is 'both')."""
     panel_w = _SIDE + 2 * _MARGIN + _LEGEND_W
-    width = panel_w * len(kinds)
+    width = panel_w * len(cs.kinds)
     height = int(_ROOT3_HALF * _SIDE) + 2 * _MARGIN + 20
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="%d" height="%d">' % (width, height),
         '<rect x="0" y="0" width="%d" height="%d" fill="#ffffff"/>' % (width, height),
     ]
-    for pos, kind in enumerate(kinds):
-        parts.extend(_panel(m, cs, kind, corners, pos * panel_w))
+    for pos, kind in enumerate(cs.kinds):
+        parts.extend(_panel(m, cs, kind, pos * panel_w))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

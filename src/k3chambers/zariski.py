@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, model
-from .errors import ModeUnsupported, NotBig
+from .errors import ModeUnsupported, NotBig, require
 from .model import DivisorClass, Mode, SurfaceModel
 
 
@@ -103,7 +103,7 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
         )
 
     null = tuple(i for i in range(n) if residual[i] == 0)
-    assert set(support) <= set(null)
+    require(set(support) <= set(null), "zariski_decompose: nef part meets its support")
     return ZariskiResult(
         nef_part=nef,
         neg_coeffs=tuple((j, coeffs[pos]) for pos, j in enumerate(support)),

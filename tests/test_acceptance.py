@@ -43,7 +43,7 @@ def test_criterion_01_quartic_chamber_families():
     assert z.supports == ((), (0,), (1,), (2,), (0, 1))
     assert len(z.records) == 5
     assert w.supports == z.supports
-    assert verify_bijection(entry.model).equal
+    assert verify_bijection(z, w).equal
     assert elapsed < 1.0
     print("ACCEPTANCE 1 PASS: quartic has 5 Zariski chambers, Weyl family equal "
           "(%.3fs)" % elapsed)
@@ -116,7 +116,7 @@ def test_criterion_06_bijection_property_suite():
     mismatches = []
     for i, m in enumerate(_random_models(200)):
         assert model.curve_count(m) <= 6
-        report = verify_bijection(m)
+        report = verify_bijection(enumerate_zariski_chambers(m), enumerate_weyl_chambers(m))
         if not report.equal:
             mismatches.append(i)
     elapsed = time.monotonic() - t0
@@ -183,12 +183,13 @@ def test_criterion_09_cross_section_reproduction():
     quartic = gallery.quartic_example().model
     spec = CrossSectionSpec(resolution=400, coloring=plot.MODE_BOTH)
     t0 = time.monotonic()
-    svg = render_cross_section(quartic, spec)
+    cs = classify_cross_section(quartic, spec)
+    svg = render_cross_section(quartic, cs)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    assert render_cross_section(quartic, spec) == svg  # deterministic bytes
+    # deterministic bytes
+    assert render_cross_section(quartic, classify_cross_section(quartic, spec)) == svg
 
-    cs = classify_cross_section(quartic, spec)
     expected = {(), (0,), (1,), (2,), (0, 1)}
     assert cs.attained_supports(plot.MODE_WEYL) == expected
     assert cs.attained_supports(plot.MODE_ZARISKI) == expected

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +78,8 @@ def test_family_is_downward_closed(quartic, double_cover):
 
 
 def test_bijection_on_gallery(quartic, double_cover):
-    assert verify_bijection(quartic.model).equal
-    assert verify_bijection(double_cover.model).equal
+    for m in (quartic.model, double_cover.model):
+        assert verify_bijection(enumerate_zariski_chambers(m), enumerate_weyl_chambers(m)).equal
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,31 @@ def test_weyl_witness_examples(quartic, double_cover):
     d = weyl_witness(dc, (0,))
     h1 = model.ample_pairings(dc)[0]
     assert d.coords[0] - dc.ample_coords[0] == (h1 + 1) / 2
+
+
+def test_witness_invariants_are_checked_under_python_O():
+    """The witness checks are explicit raises, so an optimized interpreter
+    still rejects a wrong solve."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from k3chambers import chambers, linalg, quartic_example
+        from k3chambers.errors import InvariantViolated
+        if not sys.flags.optimize:
+            sys.exit("interpreter is not optimized")
+        linalg.solve_linear = lambda a, b: tuple(Fraction(-1) for _ in b)
+        try:
+            chambers.weyl_witness(quartic_example().model, (0,))
+        except InvariantViolated:
+            sys.exit(0)
+        sys.exit("weyl_witness accepted a negative solution")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_weyl_witness_rejects_bad_sets(quartic):

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from k3chambers import cli, gallery, model
+from k3chambers import cli, gallery, linalg, model
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +50,17 @@ def test_validate_reports_failures(capsys, tmp_path):
 
 def test_validate_missing_file(capsys):
     code, out, _ = run_cli(capsys, "validate", "/nonexistent/model.json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid_model"
+
+
+@pytest.mark.parametrize("curves", [[1], ["C1"], [None]])
+def test_non_object_curve_entry_exits_2(capsys, tmp_path, curves):
+    doc = {"mode": "configuration", "gram": [[-2]], "curves": curves,
+           "ample": {"dots": [1], "self": 2}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "chambers", str(path))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "invalid_model"
 
@@ -140,6 +152,13 @@ def test_criteria_unknown_name_exits_2(capsys, quartic_file):
     assert code == 2
 
 
+def test_internal_invariant_exits_4(capsys, quartic_file, monkeypatch):
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b: tuple(Fraction(-1) for _ in b))
+    code, out, _ = run_cli(capsys, "witness", quartic_file, "L1")
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
 def test_witness_report(capsys, quartic_file):
     code, out, _ = run_cli(capsys, "witness", quartic_file, "L1", "L2")
     assert code == 0
@@ -206,6 +225,13 @@ def test_random_subcommand_is_deterministic(capsys):
     m = model.model_from_json(out1)
     assert model.validate_model(m).valid
     assert m == gallery.random_configuration(5, 4)
+
+
+@pytest.mark.parametrize("density", ["7", "-0.1", "nan"])
+def test_random_rejects_density_outside_unit_interval(capsys, density):
+    code, out, _ = run_cli(capsys, "random", "--seed", "1", "--n", "3", "--density", density)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid_model"
 
 
 def test_configuration_model_via_cli(capsys, tmp_path):

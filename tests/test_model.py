@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import k3chambers
 from k3chambers import chambers, gallery, model
 from k3chambers.errors import IndexOutOfRange, InvalidModel, ModeMismatch
 from k3chambers.model import (
@@ -139,6 +142,34 @@ def test_restrict_gram_examples(quartic, double_cover):
 def test_restrict_gram_bad_index(quartic):
     with pytest.raises(IndexOutOfRange):
         restrict_gram(quartic.model, {0, 7})
+
+
+# ---------------------------------------------------------------------------
+# derived data lives on the model
+# ---------------------------------------------------------------------------
+
+
+def test_derived_data_is_computed_once_per_model(quartic):
+    m = quartic.model
+    assert model.curve_gram(m) is model.curve_gram(m)
+    assert model.ample_pairings(m) is model.ample_pairings(m)
+
+
+def test_malformed_model_is_reported_not_raised(quartic):
+    bad = model.SurfaceModel(
+        Mode.FULL_LATTICE, quartic.model.gram, (model.Curve("L1"),), quartic.model.ample_coords
+    )
+    report = validate_model(bad)
+    assert report.failures == ("curve 0 has missing or mismatched coordinates",)
+
+
+def test_no_module_level_caches():
+    for info in pkgutil.iter_modules(k3chambers.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module("k3chambers." + info.name)
+        cached = [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
+        assert cached == [], info.name
 
 
 # ---------------------------------------------------------------------------

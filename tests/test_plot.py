@@ -113,26 +113,29 @@ def test_scan_agrees_with_engine_on_sampled_points(quartic, double_cover):
 
 def test_render_is_deterministic(quartic):
     spec = CrossSectionSpec(resolution=40, coloring=plot.MODE_BOTH)
-    a = render_cross_section(quartic.model, spec)
-    b = render_cross_section(quartic.model, spec)
+    a = render_cross_section(quartic.model, classify_cross_section(quartic.model, spec))
+    b = render_cross_section(quartic.model, classify_cross_section(quartic.model, spec))
     assert a == b
     assert a.startswith('<?xml version="1.0"')
     assert "<svg" in a and a.rstrip().endswith("</svg>")
 
 
 def test_render_modes(quartic):
-    single = render_cross_section(quartic.model, CrossSectionSpec(resolution=20, coloring="weyl"))
+    def render(coloring):
+        spec = CrossSectionSpec(resolution=20, coloring=coloring)
+        return render_cross_section(quartic.model, classify_cross_section(quartic.model, spec))
+
+    single = render("weyl")
     assert "panel-weyl" in single and "panel-zariski" not in single
-    both = render_cross_section(quartic.model, CrossSectionSpec(resolution=20, coloring="both"))
+    both = render("both")
     assert "panel-weyl" in both and "panel-zariski" in both
     assert "L1,L2" in both  # region label for the two-line chamber
 
 
 def test_render_configuration_mode_with_default_corners():
     m = model.to_configuration(gallery.quartic_example().model)
-    svg = render_cross_section(m, CrossSectionSpec(resolution=12))
-    assert "H+L1" in svg
     cs = classify_cross_section(m, CrossSectionSpec(resolution=12))
+    assert "H+L1" in render_cross_section(m, cs)
     assert all(s[5] is not None for s in cs.samples)  # every sample is big
 
 
@@ -147,8 +150,7 @@ def test_boundary_samples_are_neutral(quartic):
     boundary = [s for s in cs.samples if s[6]]
     assert boundary
     assert all(s[4] for s in boundary)  # zero pairing flags the Weyl side too
-    svg = render_cross_section(m, spec)
-    assert "#c8c8c8" in svg
+    assert "#c8c8c8" in render_cross_section(m, cs)
 
 
 def test_default_corners_never_hit_walls(quartic):
