@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--density", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if not 0 <= args.max_curves <= chambers.MAX_WEYL_CURVES:
+        parser.error("--max-curves must be between 0 and %d" % chambers.MAX_WEYL_CURVES)
 
     t0 = time.monotonic()
     chamber_counts = Counter()

@@ -24,9 +24,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg, model, zariski
-from .errors import NotBig, NotNegativeDefinite, UnrecognizedDiagram, require
+from .errors import NotBig, NotNegativeDefinite, SizeLimit, UnrecognizedDiagram, require
 from .linalg import LinearSystemFeasibility, SignConstraint
 from .model import DivisorClass, SurfaceModel
+
+# largest curve count enumerate_weyl_chambers accepts: it solves 2^n systems
+MAX_WEYL_CURVES = 12
+
+# the negative definite subsets of a model, as computed once per Zariski
+# atlas by negative_definite_subsets and handed to the per-support criteria
+NDFamily = frozenset[frozenset[int]]
 
 
 class ChamberKind(Enum):
@@ -99,10 +106,14 @@ class CoincidenceReport:
 # ---------------------------------------------------------------------------
 
 
-def weyl_signature(m: SurfaceModel, d: DivisorClass) -> ChamberSignature:
+def weyl_signature(
+    m: SurfaceModel, d: DivisorClass, check: zariski.BignessCheck | None = None
+) -> ChamberSignature:
     """Curves met negatively by a big divisor; boundary means some listed
-    curve is met in exactly zero."""
-    check = zariski.is_big(m, d)
+    curve is met in exactly zero.  ``check`` is the divisor's bigness
+    verdict when the caller already has it."""
+    if check is None:
+        check = zariski.is_big(m, d)
     if not check.big:
         raise NotBig(check.reason or "divisor is not big")
     dots = model.pairings_with_curves(m, d)
@@ -113,10 +124,14 @@ def weyl_signature(m: SurfaceModel, d: DivisorClass) -> ChamberSignature:
     )
 
 
-def zariski_chamber_of(m: SurfaceModel, d: DivisorClass) -> ChamberSignature:
+def zariski_chamber_of(
+    m: SurfaceModel, d: DivisorClass, result: zariski.ZariskiResult | None = None
+) -> ChamberSignature:
     """Support of the negative part; boundary means the nef part is
-    orthogonal to some curve outside that support."""
-    result = zariski.zariski_decompose(m, d)
+    orthogonal to some curve outside that support.  ``result`` is the
+    divisor's decomposition when the caller already has it."""
+    if result is None:
+        result = zariski.zariski_decompose(m, d)
     return ChamberSignature(
         support=result.neg_set,
         boundary=set(result.null_set) > set(result.neg_set),
@@ -148,56 +163,88 @@ def negative_definite_subsets(m: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(family, key=lambda s: (len(s), s)))
 
 
-def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...]) -> None:
-    if not linalg.is_negative_definite(model.restrict_gram(m, s)):
+def _is_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None) -> bool:
+    if nd_family is None:
+        return linalg.is_negative_definite(model.restrict_gram(m, s))
+    return frozenset(s) in nd_family
+
+
+def _require_negative_definite(
+    m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None = None
+) -> None:
+    if not _is_negative_definite(m, s, nd_family):
         raise NotNegativeDefinite(
             "curve set %r is not negative definite" % (list(s),)
         )
 
 
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
+    """One chamber per negative definite subset.  The family is computed
+    once and handed to the per-support witness, criteria and A-D-E
+    classification, which then decide negative definiteness by membership."""
+    supports = negative_definite_subsets(m)
+    family = frozenset(frozenset(s) for s in supports)
     records = []
-    for s in negative_definite_subsets(m):
-        witness = model.ample_divisor(m) if not s else weyl_witness(m, s)
+    for s in supports:
+        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family)
         records.append(
             ChamberRecord(
                 support=s,
                 witness=witness,
-                ade=classify_ade(m, s),
-                weyl_in_zariski=weyl_in_zariski(m, s),
-                zariski_interior_in_weyl=zariski_interior_in_weyl(m, s),
+                ade=classify_ade(m, s, family),
+                weyl_in_zariski=weyl_in_zariski(m, s, family),
+                zariski_interior_in_weyl=zariski_interior_in_weyl(m, s, family),
             )
         )
     return ChamberAtlas(ChamberKind.ZARISKI, tuple(records))
 
 
+def _weyl_rows(m: SurfaceModel) -> tuple[tuple[SignConstraint, SignConstraint], ...]:
+    """Per curve j, the rows (H + sum(a_i C_i)) . C_j > 0 and < 0, in that
+    order, so that ``rows[j][j in s]`` is curve j's row for support s."""
+    g = model.curve_gram(m)
+    h = model.ample_pairings(m)
+    return tuple(
+        tuple(SignConstraint(g[j], h[j], sense) for sense in (linalg.SENSE_GT, linalg.SENSE_LT))
+        for j in range(model.curve_count(m))
+    )
+
+
+def _sign_system(rows, s: frozenset) -> LinearSystemFeasibility:
+    n = len(rows)
+    return LinearSystemFeasibility(
+        n, tuple(rows[j][j in s] for j in range(n)), frozenset(range(n))
+    )
+
+
 def weyl_sign_system(m: SurfaceModel, s) -> LinearSystemFeasibility:
     """Feasibility system for a divisor H + sum(a_i C_i), a_i >= 0, meeting
     the curves in s negatively and all other listed curves positively."""
-    s = frozenset(s)
-    g = model.curve_gram(m)
-    h = model.ample_pairings(m)
+    return _sign_system(_weyl_rows(m), frozenset(s))
+
+
+def check_weyl_size(m: SurfaceModel) -> None:
+    """Raise SizeLimit when the model has more curves than the Weyl
+    enumeration accepts."""
     n = model.curve_count(m)
-    rows = tuple(
-        SignConstraint(
-            coeffs=g[j],
-            constant=h[j],
-            sense=linalg.SENSE_LT if j in s else linalg.SENSE_GT,
+    if n > MAX_WEYL_CURVES:
+        raise SizeLimit(
+            "Weyl enumeration takes at most %d curves (got %d)" % (MAX_WEYL_CURVES, n)
         )
-        for j in range(n)
-    )
-    return LinearSystemFeasibility(n, rows, frozenset(range(n)))
 
 
 def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
     """Independent enumeration of the simple Weyl chambers by exhaustive
     sign-pattern feasibility.  Exponential in the curve count by design;
-    meant for the desk-scale models this package targets."""
+    meant for the desk-scale models this package targets.  The sign rows
+    are built once, so each keeps its integer form across all patterns."""
+    check_weyl_size(m)
     n = model.curve_count(m)
+    rows = _weyl_rows(m)
     records = []
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            res = linalg.fm_feasible(weyl_sign_system(m, s))
+            res = linalg.fm_feasible(_sign_system(rows, frozenset(s)))
             if res.feasible:
                 records.append(
                     ChamberRecord(
@@ -222,17 +269,20 @@ def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> B
 # ---------------------------------------------------------------------------
 
 
-def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
+def weyl_witness(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> DivisorClass:
     """The divisor D = H + sum(a_i C_i) with D . C_j = -1 for all j in s.
 
     The solve is against the negative definite restricted Gram; the inverse
     has nonpositive entries, so the coefficients come out nonnegative, and
-    D meets every curve outside s positively.
+    D meets every curve outside s positively.  With ``nd_family`` (the
+    model's negative definite subsets) s is checked by membership instead
+    of a definiteness test; the same holds for the criteria and
+    ``classify_ade``.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("witness construction needs a nonempty support")
-    _require_negative_definite(m, s)
+    _require_negative_definite(m, s, nd_family)
     h = model.ample_pairings(m)
     sub = model.restrict_gram(m, s)
     sol = linalg.solve_linear(sub, [Fraction(-1) - h[j] for j in s])
@@ -330,26 +380,28 @@ def decompositions_coincide(m: SurfaceModel) -> CoincidenceReport:
     return CoincidenceReport(True, None, None)
 
 
-def weyl_in_zariski(m: SurfaceModel, s) -> InclusionVerdict:
+def weyl_in_zariski(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> InclusionVerdict:
     """W_s is contained in Z_s iff every curve outside s that keeps the
     support negative definite is orthogonal to all of s."""
     s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s)
+    _require_negative_definite(m, s, nd_family)
     g = model.curve_gram(m)
     for c in range(model.curve_count(m)):
         if c in s:
             continue
-        if linalg.is_negative_definite(model.restrict_gram(m, s + (c,))):
+        if _is_negative_definite(m, s + (c,), nd_family):
             if any(g[c][i] != 0 for i in s):
                 return InclusionVerdict(False, c)
     return InclusionVerdict(True, None)
 
 
-def zariski_interior_in_weyl(m: SurfaceModel, s) -> InteriorInclusionVerdict:
+def zariski_interior_in_weyl(
+    m: SurfaceModel, s, nd_family: NDFamily | None = None
+) -> InteriorInclusionVerdict:
     """int(Z_s) is contained in W_s iff no two curves of s meet in one
     point."""
     s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s)
+    _require_negative_definite(m, s, nd_family)
     g = model.curve_gram(m)
     for i, j in combinations(s, 2):
         if g[i][j] == 1:
@@ -404,12 +456,12 @@ def _classify_component(nodes, adj) -> str:
     raise UnrecognizedDiagram("arm lengths %r" % (arms,))
 
 
-def classify_ade(m: SurfaceModel, s) -> tuple[str, ...]:
+def classify_ade(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> tuple[str, ...]:
     """Split a negative definite support into connected components and name
     each simply-laced Dynkin diagram.  Components are reported in order of
     their smallest curve index."""
     s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s)
+    _require_negative_definite(m, s, nd_family)
     sub = model.restrict_gram(m, s)
     k = len(s)
     for i in range(k):

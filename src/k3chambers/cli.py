@@ -2,9 +2,10 @@
 
 Every subcommand prints a deterministic JSON report on standard output
 (reports carry a top-level schema_version).  Exit codes: 0 on success, 2 on
-invalid input, 3 when a query is mathematically infeasible (non-big divisor,
-non-negative-definite curve set, unsupported divisor form), 4 when an
-internal invariant check fails (a bug, reported as internal_invariant).
+invalid input or input over a size limit (size_limit), 3 when a query is
+mathematically infeasible (non-big divisor, non-negative-definite curve set,
+unsupported divisor form), 4 when an internal invariant check fails (a bug,
+reported as internal_invariant).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     NotNegativeDefinite,
     NotSymmetric,
     PreconditionViolated,
+    SizeLimit,
     UnrecognizedDiagram,
 )
 
@@ -129,6 +131,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_chambers(args) -> int:
     m = _load_model(args.model)
     _banner()
+    chambers.check_weyl_size(m)  # refuse before any work, not after the Zariski atlas
     z = chambers.enumerate_zariski_chambers(m)
     w = chambers.enumerate_weyl_chambers(m)
     bij = chambers.verify_bijection(z, w)
@@ -161,11 +164,12 @@ def _cmd_compare(args) -> int:
         else model.divisor_to_document(m, report.witness),
     }
     if report.witness is not None:
+        check = zariski.is_big(m, report.witness)
         doc["witness_weyl_support"] = _names(
-            m, chambers.weyl_signature(m, report.witness).support
+            m, chambers.weyl_signature(m, report.witness, check).support
         )
         doc["witness_zariski_support"] = _names(
-            m, chambers.zariski_chamber_of(m, report.witness).support
+            m, chambers.zariski_chamber_of(m, report.witness, check.decomposition).support
         )
     _emit(doc)
     return 0
@@ -263,8 +267,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    if args.n < 0 or args.n > 12:
-        raise InvalidModel("curve count must be between 0 and 12")
+    if args.n < 0 or args.n > chambers.MAX_WEYL_CURVES:
+        raise InvalidModel("curve count must be between 0 and %d" % chambers.MAX_WEYL_CURVES)
     if not 0 <= args.density <= 1:
         raise InvalidModel("edge density must be between 0 and 1")
     m = gallery.random_configuration(args.seed, args.n, args.density)
@@ -357,6 +361,7 @@ def main(argv=None) -> int:
         PreconditionViolated,
         DegenerateCorners,
         UnrecognizedDiagram,
+        SizeLimit,
     ) as exc:
         _emit(_error_doc(exc, exc.code))
         return 2

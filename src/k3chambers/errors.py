@@ -61,6 +61,13 @@ class DegenerateCorners(K3ChambersError):
     code = "degenerate_corners"
 
 
+class SizeLimit(K3ChambersError):
+    """An operation was refused because its input exceeds a documented size
+    limit, beyond which the work would not finish in reasonable time."""
+
+    code = "size_limit"
+
+
 class InvariantViolated(K3ChambersError):
     """An internal invariant failed: a bug in the package, not bad input.
     Raised by explicit checks so that they also run under ``python -O``."""

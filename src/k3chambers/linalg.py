@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NotSymmetric, PreconditionViolated, SingularMatrix
+from .errors import NotSymmetric, PreconditionViolated, SingularMatrix, require
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -244,6 +246,10 @@ def inverse_nonpositive_check(s: Mat) -> bool:
 SENSE_LT = "<"
 SENSE_GT = ">"
 
+# internal row form: (coeffs: int tuple, const: int, strict: bool)
+# meaning  coeffs . x + const  >= 0  (or > 0 when strict)
+_Row = tuple[tuple[int, ...], int, bool]
+
 
 @dataclass(frozen=True)
 class SignConstraint:
@@ -252,6 +258,29 @@ class SignConstraint:
     coeffs: Vec
     constant: Fraction
     sense: str
+
+    @cached_property
+    def integer_row(self) -> _Row:
+        """The constraint as a primitive integer row ``a . x + c > 0``
+        (negated for ``<``), computed once per row and checked to be a
+        positive multiple of the rational row."""
+        sign = 1 if self.sense == SENSE_GT else -1
+        den = math.lcm(self.constant.denominator, *(c.denominator for c in self.coeffs))
+        ints = [sign * int(c * den) for c in self.coeffs]
+        ci = sign * int(self.constant * den)
+        g = math.gcd(ci, *ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+            ci //= g
+        rational = [sign * Fraction(x) for x in (*self.coeffs, self.constant)]
+        integral = [*ints, ci]
+        pivot = next((k for k, y in enumerate(rational) if y), None)
+        scale = 1 if pivot is None else integral[pivot] / rational[pivot]
+        require(
+            scale > 0 and all(x == scale * y for x, y in zip(integral, rational)),
+            "SignConstraint.integer_row: not a positive multiple of the row",
+        )
+        return (tuple(ints), ci, True)
 
 
 @dataclass(frozen=True)
@@ -272,26 +301,6 @@ class FeasibilityResult:
 
 class _Infeasible(Exception):
     pass
-
-
-# internal row form: (coeffs: int tuple, const: int, strict: bool)
-# meaning  coeffs . x + const  >= 0  (or > 0 when strict)
-_Row = tuple[tuple[int, ...], int, bool]
-
-
-def _normalize(coeffs: Sequence[Fraction], const: Fraction, strict: bool) -> _Row | None:
-    den = math.lcm(const.denominator, *(c.denominator for c in coeffs)) if coeffs else const.denominator
-    ints = [int(c * den) for c in coeffs]
-    ci = int(const * den)
-    g = math.gcd(ci, *(abs(x) for x in ints)) if ints else abs(ci)
-    if g > 1:
-        ints = [x // g for x in ints]
-        ci //= g
-    if all(x == 0 for x in ints):
-        if ci > 0 or (ci == 0 and not strict):
-            return None
-        raise _Infeasible
-    return (tuple(ints), ci, strict)
 
 
 def _dedupe(rows: Iterable[_Row]) -> list[_Row]:
@@ -327,8 +336,12 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     """Exact Fourier-Motzkin elimination with native strict inequalities.
 
     Variables are eliminated in decreasing constraint-occurrence order
-    (ties by lowest index).  When the system is feasible, a rational sample
-    point is reconstructed by back-substituting interval midpoints.
+    (ties by lowest index).  Each row enters in the integer form its
+    SignConstraint caches, so a row shared by many systems is normalized
+    once.  When the system is feasible, a rational sample point is
+    reconstructed by back-substituting interval midpoints in integers over a
+    common denominator, then checked exactly against every original row and
+    nonnegativity bound.
     """
     n = problem.num_vars
     for row in problem.strict_rows:
@@ -342,18 +355,13 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     try:
         rows: list[_Row] = []
         for row in problem.strict_rows:
-            if row.sense == SENSE_GT:
-                r = _normalize(row.coeffs, row.constant, True)
-            else:
-                r = _normalize([-c for c in row.coeffs], -row.constant, True)
-            if r is not None:
+            r = row.integer_row
+            if any(r[0]):
                 rows.append(r)
+            elif r[1] <= 0:
+                raise _Infeasible
         for v in sorted(problem.nonneg_vars):
-            unit = [Fraction(0)] * n
-            unit[v] = Fraction(1)
-            r = _normalize(unit, Fraction(0), False)
-            if r is not None:
-                rows.append(r)
+            rows.append((tuple(int(w == v) for w in range(n)), 0, False))
         rows = _dedupe(rows)
 
         stages: list[tuple[int, list[_Row], list[_Row]]] = []
@@ -376,44 +384,57 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     except _Infeasible:
         return FeasibilityResult(False, None)
 
-    sample: list[Fraction | None] = [None] * n
+    # back-substitution in integers: the sample is num / den with den > 0,
+    # and a variable not yet assigned has numerator 0
+    num = [0] * n
+    den = 1
     for v, lowers, uppers in reversed(stages):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
+        # bounds on den * x_v, each as (p, q, strict) meaning p / q with q > 0
+        lo: tuple[int, int, bool] | None = None
+        hi: tuple[int, int, bool] | None = None
         for a, c, strict in lowers:
-            rest = sum((Fraction(a[w]) * sample[w] for w in range(n) if w != v and a[w]), Fraction(c))
-            val = -rest / a[v]
-            if lo is None or val > lo[0]:
-                lo = (val, strict)
-            elif val == lo[0] and strict:
-                lo = (val, True)
+            p, q = -(c * den + sum(map(mul, a, num))), a[v]
+            if lo is None or p * lo[1] > lo[0] * q:
+                lo = (p, q, strict)
+            elif p * lo[1] == lo[0] * q and strict:
+                lo = (p, q, True)
         for a, c, strict in uppers:
-            rest = sum((Fraction(a[w]) * sample[w] for w in range(n) if w != v and a[w]), Fraction(c))
-            val = -rest / a[v]
-            if hi is None or val < hi[0]:
-                hi = (val, strict)
-            elif val == hi[0] and strict:
-                hi = (val, True)
+            p, q = c * den + sum(map(mul, a, num)), -a[v]
+            if hi is None or p * hi[1] < hi[0] * q:
+                hi = (p, q, strict)
+            elif p * hi[1] == hi[0] * q and strict:
+                hi = (p, q, True)
         if lo is None and hi is None:
-            sample[v] = Fraction(0)
+            x = Fraction(0)
         elif hi is None:
-            sample[v] = lo[0] + 1
+            x = Fraction(lo[0], lo[1]) + den
         elif lo is None:
-            sample[v] = hi[0] - 1
+            x = Fraction(hi[0], hi[1]) - den
         else:
-            if lo[0] < hi[0]:
-                sample[v] = (lo[0] + hi[0]) / 2
-            elif lo[0] == hi[0] and not lo[1] and not hi[1]:
-                sample[v] = lo[0]
-            else:
-                raise AssertionError("empty interval after feasible elimination")
+            low, high = Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])
+            require(
+                low < high or (low == high and not lo[2] and not hi[2]),
+                "fm_feasible: empty interval after feasible elimination",
+            )
+            x = (low + high) / 2
+        if x.denominator > 1:
+            den *= x.denominator
+            num = [y * x.denominator for y in num]
+        num[v] = x.numerator
 
-    point = tuple(x if x is not None else Fraction(0) for x in sample)
+    # every original row, checked exactly from its rational coefficients:
+    # value = scale * den * (coeffs . sample + constant) with scale, den > 0
     for row in problem.strict_rows:
-        value = dot(row.coeffs, point) + row.constant
-        ok = value < 0 if row.sense == SENSE_LT else value > 0
-        if not ok:
-            raise AssertionError("sample point violates an original constraint")
-    if any(point[v] < 0 for v in problem.nonneg_vars):
-        raise AssertionError("sample point violates nonnegativity")
+        terms = (*zip(row.coeffs, num), (row.constant, den))
+        scale = math.lcm(*(c.denominator for c, _ in terms))
+        value = sum(c.numerator * (scale // c.denominator) * y for c, y in terms)
+        require(
+            value < 0 if row.sense == SENSE_LT else value > 0,
+            "fm_feasible: sample point violates an original constraint",
+        )
+    point = tuple(Fraction(y, den) for y in num)
+    require(
+        all(point[v] >= 0 for v in problem.nonneg_vars),
+        "fm_feasible: sample point violates nonnegativity",
+    )
     return FeasibilityResult(True, point)

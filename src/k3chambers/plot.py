@@ -24,12 +24,15 @@ from fractions import Fraction
 from hashlib import sha256
 
 from . import chambers, linalg, model
-from .errors import DegenerateCorners
+from .errors import DegenerateCorners, SizeLimit
 from .model import DivisorClass, Mode, SurfaceModel
 
 MODE_WEYL = "weyl"
 MODE_ZARISKI = "zariski"
 MODE_BOTH = "both"
+
+# largest accepted resolution: the grid has resolution^2 samples
+MAX_RESOLUTION = 1000
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -140,6 +143,8 @@ def _scan_tables(m: SurfaceModel):
 def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSection:
     if spec.resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if spec.resolution > MAX_RESOLUTION:
+        raise SizeLimit("resolution must be at most %d" % MAX_RESOLUTION)
     if spec.coloring not in (MODE_WEYL, MODE_ZARISKI, MODE_BOTH):
         raise ValueError("coloring must be weyl, zariski or both")
     corners = spec.corners if spec.corners is not None else default_corners(m)

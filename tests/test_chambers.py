@@ -27,7 +27,7 @@ from k3chambers.chambers import (
     zariski_chamber_of,
     zariski_interior_in_weyl,
 )
-from k3chambers.errors import NotBig, NotNegativeDefinite
+from k3chambers.errors import NotBig, NotNegativeDefinite, SizeLimit
 from k3chambers.model import config_divisor, full_divisor
 
 
@@ -383,3 +383,67 @@ def test_configuration_mode_signatures(quartic):
     d = config_divisor(1, [3, 5, 0])  # the divergence witness in t/a form
     assert weyl_signature(cfg, d).support == (1,)
     assert zariski_chamber_of(cfg, d).support == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# per-model reuse inside the atlases
+# ---------------------------------------------------------------------------
+
+
+def test_zariski_atlas_tests_definiteness_only_in_the_search(monkeypatch):
+    """Witness, criteria and A-D-E classification decide definiteness by
+    membership in the family the hereditary search found."""
+    m = gallery.random_configuration(3, 7, 0.2)
+    calls = []
+    original = linalg.is_negative_definite
+    monkeypatch.setattr(
+        linalg, "is_negative_definite", lambda s: calls.append(s) or original(s)
+    )
+    negative_definite_subsets(m)
+    in_search = len(calls)
+    enumerate_zariski_chambers(m)
+    assert in_search > 0
+    assert len(calls) == 2 * in_search
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_membership_matches_the_guarded_criteria(seed):
+    m = gallery.random_configuration(seed, 6, 0.4)
+    family = frozenset(frozenset(s) for s in negative_definite_subsets(m))
+    for s in negative_definite_subsets(m):
+        assert weyl_in_zariski(m, s, family) == weyl_in_zariski(m, s)
+        assert zariski_interior_in_weyl(m, s, family) == zariski_interior_in_weyl(m, s)
+        assert classify_ade(m, s, family) == classify_ade(m, s)
+        if s:
+            assert weyl_witness(m, s, family) == weyl_witness(m, s)
+
+
+def test_family_membership_rejects_a_set_outside_the_family(quartic):
+    m = quartic.model
+    family = frozenset(frozenset(s) for s in negative_definite_subsets(m))
+    with pytest.raises(NotNegativeDefinite):
+        weyl_witness(m, (0, 2), family)
+
+
+def test_weyl_atlas_witnesses_match_fresh_sign_systems():
+    """The atlas shares one set of sign rows across all patterns; every
+    pattern must give what a freshly built system gives."""
+    m = gallery.random_configuration(3, 7, 0.2)
+    witnesses = {r.support: r.witness for r in enumerate_weyl_chambers(m).records}
+    for size in range(8):
+        for s in combinations(range(7), size):
+            res = linalg.fm_feasible(chambers.weyl_sign_system(m, s))
+            if res.feasible:
+                assert witnesses.pop(s) == model.divisor_from_ample_and_curves(m, 1, res.sample)
+    assert not witnesses
+
+
+def test_weyl_enumeration_refuses_too_many_curves():
+    m = model.configuration_model(
+        [[-2 if i == j else 2 for j in range(13)] for i in range(13)],
+        ["C%d" % i for i in range(13)],
+        [1] * 13,
+        2,
+    )
+    with pytest.raises(SizeLimit):
+        enumerate_weyl_chambers(m)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3chambers import cli, gallery, linalg, model
+from k3chambers import chambers, cli, gallery, linalg, model, zariski
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,69 @@ def test_internal_invariant_exits_4(capsys, quartic_file, monkeypatch):
     code, out, _ = run_cli(capsys, "witness", quartic_file, "L1")
     assert code == 4
     assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
+def test_fm_invariant_exits_4(capsys, quartic_file, monkeypatch):
+    """A sample that fails its exact check is a typed error, not a traceback."""
+    wrong = linalg.SignConstraint(linalg.vec([0, 0, 0]), Fraction(1), ">")
+    real = chambers._sign_system
+
+    def corrupted(rows, s):
+        problem = real(rows, s)
+        for row in problem.strict_rows:
+            row.__dict__["integer_row"] = wrong.integer_row
+        return problem
+
+    monkeypatch.setattr(chambers, "_sign_system", corrupted)
+    code, out, _ = run_cli(capsys, "chambers", quartic_file)
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
+def test_compare_decomposes_the_witness_once(capsys, quartic_file, monkeypatch):
+    calls = []
+    original = zariski.zariski_decompose
+
+    def counting(m, d):
+        calls.append(d)
+        return original(m, d)
+
+    monkeypatch.setattr(zariski, "zariski_decompose", counting)
+    code, out, _ = run_cli(capsys, "compare", quartic_file)
+    assert code == 0
+    assert json.loads(out)["witness_zariski_support"] == ["L1", "L2"]
+    assert len(calls) == 1
+
+
+def _disjoint_curves_model(tmp_path, n):
+    """n disjoint curves: every one of the 2^n subsets is negative definite,
+    so any enumeration before the size check would not finish."""
+    doc = {
+        "mode": "configuration",
+        "gram": [[-2 if i == j else 0 for j in range(n)] for i in range(n)],
+        "curves": [{"name": "C%d" % i} for i in range(n)],
+        "ample": {"dots": [1] * n, "self": 2},
+    }
+    path = tmp_path / ("disjoint%d.json" % n)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [13, 30])
+def test_chambers_refuses_more_than_twelve_curves(capsys, tmp_path, n):
+    code, out, _ = run_cli(capsys, "chambers", _disjoint_curves_model(tmp_path, n))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "size_limit"
+
+
+def test_plot_refuses_resolution_over_limit(capsys, quartic_file, tmp_path):
+    out_path = tmp_path / "big.svg"
+    code, out, _ = run_cli(
+        capsys, "plot", quartic_file, "--res", "1001", "-o", str(out_path)
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "size_limit"
+    assert not out_path.exists()
 
 
 def test_witness_report(capsys, quartic_file):

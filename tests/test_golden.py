@@ -15,6 +15,7 @@ MODELS = {
     "quartic.json": ["gallery", "quartic"],
     "double-cover.json": ["gallery", "double-cover"],
     "random.json": ["random", "--seed", "3", "--n", "7", "--density", "0.2"],
+    "random9.json": ["random", "--seed", "0", "--n", "9", "--density", "0.2"],
 }
 
 STDOUT_DIGESTS = {
@@ -29,6 +30,11 @@ STDOUT_DIGESTS = {
     "chambers random": (
         ["chambers", "random.json"],
         "7d4cf7fc1492346c3e1c37b676f6d58d5c0ad839ed47a5eec19cb3c024ce8f2d",
+    ),
+    # 512 Fourier-Motzkin systems whose samples carry rational entries
+    "chambers random n9": (
+        ["chambers", "random9.json"],
+        "a34aab23accefb5d6c2883edd8b6bbf884dce4e055d4c917530f56171d096f59",
     ),
     "decompose quartic": (
         ["decompose", "quartic.json", "[5,7,2]"],

@@ -2,10 +2,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from k3chambers import linalg
-from k3chambers.errors import NotSymmetric, PreconditionViolated, SingularMatrix
+from k3chambers.errors import (
+    InvariantViolated,
+    NotSymmetric,
+    PreconditionViolated,
+    SingularMatrix,
+)
 from k3chambers.gallery import random_ade_gram
 from k3chambers.linalg import (
     LinearSystemFeasibility,
@@ -260,3 +265,63 @@ def test_fm_agrees_with_dense_grid_search(gram, h):
             assert pattern not in attained
         if pattern in attained:
             assert res.feasible
+
+
+def test_integer_row_is_the_primitive_positive_multiple():
+    row = SignConstraint(linalg.vec(["1/2", "-3/4"]), Fraction(1, 3), "<")
+    assert row.integer_row == ((-6, 9), -4, True)
+    row = SignConstraint(linalg.vec([4, -6]), Fraction(2), ">")
+    assert row.integer_row == ((2, -3), 1, True)
+
+
+def test_corrupted_integer_row_trips_the_sample_check():
+    """The sample is checked against the rational rows, not against their
+    cached integer forms: a wrong integer form is caught, not trusted."""
+    problem = quartic_sign_problem(("<", "<", ">"))
+    first = problem.strict_rows[0]
+    a, c, strict = first.integer_row
+    first.__dict__["integer_row"] = (tuple(-x for x in a), -c, strict)
+    with pytest.raises(InvariantViolated, match="original constraint"):
+        fm_feasible(problem)
+
+
+# The oracle: max t subject to every strict row being at least t (after
+# orienting it as "> 0"), t <= 1 and the nonnegativity bounds.  The strict
+# system is feasible exactly when that maximum is positive.
+_fm_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _sign_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = tuple(
+        SignConstraint(
+            tuple(draw(st.lists(_fm_rationals, min_size=n, max_size=n))),
+            draw(_fm_rationals),
+            draw(st.sampled_from(("<", ">"))),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    )
+    nonneg = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
+    return LinearSystemFeasibility(n, rows, nonneg)
+
+
+@settings(max_examples=60)
+@given(_sign_systems())
+def test_fm_feasible_agrees_with_sympy_simplex(problem):
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmax
+
+    xs = sympy.symbols("x0:%d" % problem.num_vars)
+    t = sympy.Symbol("t")
+    constraints = [t <= 1] + [xs[v] >= 0 for v in sorted(problem.nonneg_vars)]
+    for row in problem.strict_rows:
+        value = sum((sympy.Rational(c.numerator, c.denominator) * x
+                     for c, x in zip(row.coeffs, xs)), sympy.Integer(0))
+        value += sympy.Rational(row.constant.numerator, row.constant.denominator)
+        constraints.append((value if row.sense == ">" else -value) >= t)
+    best, _ = lpmax(t, constraints)
+    res = fm_feasible(problem)
+    assert res.feasible == (best > 0)
+    if res.feasible:
+        assert _satisfies(problem, res.sample)
