@@ -77,6 +77,13 @@ def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
+def over_common_denominator(v: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integers ``w`` and the least ``den > 0`` with ``v == w / den``."""
+    v = tuple(v)
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
 def solve_linear(s: Mat, b: Sequence[Fraction]) -> Vec:
     """Solve ``s @ x = b`` exactly by Gaussian elimination.
 
@@ -361,19 +368,28 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
             elif r[1] <= 0:
                 raise _Infeasible
         for v in sorted(problem.nonneg_vars):
-            rows.append((tuple(int(w == v) for w in range(n)), 0, False))
+            rows.append(((0,) * v + (1,) + (0,) * (n - v - 1), 0, False))
         rows = _dedupe(rows)
 
         stages: list[tuple[int, list[_Row], list[_Row]]] = []
         remaining = set(range(n))
         while remaining:
-            occ = {v: sum(1 for a, _, _ in rows if a[v] != 0) for v in remaining}
-            v = max(sorted(remaining), key=lambda w: occ[w])
-            lowers = [r for r in rows if r[0][v] > 0]
-            uppers = [r for r in rows if r[0][v] < 0]
-            passthrough = [r for r in rows if r[0][v] == 0]
+            # occurrences per variable, counted down the columns
+            columns = zip(*(a for a, _, _ in rows))
+            occ = [len(rows) - col.count(0) for col in columns] or [0] * n
+            v = max(sorted(remaining), key=occ.__getitem__)
+            # one pass, keeping row order: the passthrough rows open the next stage
+            lowers: list[_Row] = []
+            uppers: list[_Row] = []
+            new: list[_Row] = []
+            for r in rows:
+                if r[0][v] > 0:
+                    lowers.append(r)
+                elif r[0][v] < 0:
+                    uppers.append(r)
+                else:
+                    new.append(r)
             stages.append((v, lowers, uppers))
-            new = list(passthrough)
             for low in lowers:
                 for up in uppers:
                     c = _combine(low, up, v)
@@ -407,16 +423,18 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
         if lo is None and hi is None:
             x = Fraction(0)
         elif hi is None:
-            x = Fraction(lo[0], lo[1]) + den
+            x = Fraction(lo[0] + den * lo[1], lo[1])
         elif lo is None:
-            x = Fraction(hi[0], hi[1]) - den
+            x = Fraction(hi[0] - den * hi[1], hi[1])
         else:
-            low, high = Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])
+            # the bounds lo[0] / lo[1] and hi[0] / hi[1] over the denominator
+            # lo[1] * hi[1]; the midpoint is their mean
+            low, high = lo[0] * hi[1], hi[0] * lo[1]
             require(
                 low < high or (low == high and not lo[2] and not hi[2]),
                 "fm_feasible: empty interval after feasible elimination",
             )
-            x = (low + high) / 2
+            x = Fraction(low + high, 2 * lo[1] * hi[1])
         if x.denominator > 1:
             den *= x.denominator
             num = [y * x.denominator for y in num]

@@ -13,14 +13,16 @@ relative to the listed curves.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .errors import IndexOutOfRange, InvalidModel, ModeMismatch
+from .errors import IndexOutOfRange, InvalidModel, ModeMismatch, require
 from .linalg import Mat, Vec
 
 
@@ -46,21 +48,54 @@ class SurfaceModel:
 
     # lazy, so that validate_model reports a malformed model instead of raising
     @cached_property
+    def pairing_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer rows ``R`` and a denominator ``q > 0`` with
+        ``D . C_i = (R_i . v) / q``, where ``v`` is the divisor's coordinates
+        (full lattice) or ``(t, a_1, ..., a_n)`` (configuration).  Built in
+        integers and checked once against the rational data."""
+        if self.mode is Mode.CONFIGURATION:
+            # R_i / q = (H . C_i, C_i . C_1, ..., C_i . C_n)
+            rational = tuple((h, *row) for h, row in zip(self.ample_dots, self.gram, strict=True))
+            flat, q = linalg.over_common_denominator(x for row in rational for x in row)
+            k = len(self.gram) + 1
+            rows = tuple(flat[i * k:(i + 1) * k] for i in range(len(rational)))
+        else:
+            # R_i / q = c_i^T G, one integer mat-vec per curve; the rational
+            # rows come first, as linalg.dot rejects a coordinate vector of
+            # the wrong length
+            rational = tuple(
+                tuple(linalg.dot(c.coords, col) for col in zip(*self.gram)) for c in self.curves
+            )
+            k = len(self.gram)
+            gram, g_den = linalg.over_common_denominator(x for row in self.gram for x in row)
+            coords, c_den = linalg.over_common_denominator(x for c in self.curves for x in c.coords)
+            cols = [gram[j::k] for j in range(k)]
+            rows = tuple(
+                tuple(sum(map(mul, coords[i * k:(i + 1) * k], col)) for col in cols)
+                for i in range(len(self.curves))
+            )
+            q = g_den * c_den
+        require(
+            all(r * x.denominator == q * x.numerator
+                for row, xs in zip(rows, rational, strict=True)
+                for r, x in zip(row, xs, strict=True)),
+            "SurfaceModel.pairing_rows: rows differ from the rational pairings",
+        )
+        return rows, q
+
+    @cached_property
     def curve_gram(self) -> Mat:
         """The curve-curve intersection matrix."""
         if self.mode is Mode.CONFIGURATION:
             return self.gram
-        vecs = [c.coords for c in self.curves]
-        gw = [linalg.mat_vec(self.gram, w) for w in vecs]
-        return tuple(tuple(linalg.dot(v, x) for x in gw) for v in vecs)
+        return tuple(zip(*(_pairings(self, c.coords) for c in self.curves)))
 
     @cached_property
     def ample_pairings(self) -> Vec:
         """Intersection of the ample class with each listed curve."""
         if self.mode is Mode.CONFIGURATION:
             return self.ample_dots
-        gh = linalg.mat_vec(self.gram, self.ample_coords)
-        return tuple(linalg.dot(c.coords, gh) for c in self.curves)
+        return _pairings(self, self.ample_coords)
 
 
 @dataclass(frozen=True)
@@ -173,15 +208,21 @@ def curve_divisor(m: SurfaceModel, i: int) -> DivisorClass:
     return config_divisor(0, unit)
 
 
+def _pairings(m: SurfaceModel, v: Sequence[Fraction]) -> Vec:
+    """D . C_i for every listed curve, where v is the vector of D as in
+    ``pairing_rows``: one integer mat-vec over v's common denominator."""
+    rows, q = m.pairing_rows
+    w, den = linalg.over_common_denominator(v)
+    den *= q
+    return tuple(Fraction(sum(map(mul, row, w)), den) for row in rows)
+
+
 def pairings_with_curves(m: SurfaceModel, d: DivisorClass) -> Vec:
     """D . C_i for every listed curve."""
     _check_divisor(m, d)
     if m.mode is Mode.FULL_LATTICE:
-        gd = linalg.mat_vec(m.gram, d.coords)
-        return tuple(linalg.dot(c.coords, gd) for c in m.curves)
-    h = m.ample_dots
-    ga = linalg.mat_vec(m.gram, d.curve_coeffs)
-    return tuple(d.ample_coeff * h[i] + ga[i] for i in range(curve_count(m)))
+        return _pairings(m, d.coords)
+    return _pairings(m, (d.ample_coeff, *d.curve_coeffs))
 
 
 def divisor_from_ample_and_curves(m: SurfaceModel, t, a) -> DivisorClass:
@@ -191,7 +232,7 @@ def divisor_from_ample_and_curves(m: SurfaceModel, t, a) -> DivisorClass:
     if len(a) != curve_count(m):
         raise ModeMismatch("curve coefficient count mismatch")
     if m.mode is Mode.CONFIGURATION:
-        return config_divisor(t, a)
+        return DivisorClass(ample_coeff=t, curve_coeffs=a)
     coords = linalg.vec_scale(t, m.ample_coords)
     for ai, c in zip(a, m.curves):
         coords = linalg.vec_add(coords, linalg.vec_scale(ai, c.coords))
@@ -329,6 +370,13 @@ def validate_model(m: SurfaceModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+# largest exponent magnitude accepted in a rational string such as "5e-3"; the
+# same bound as Python's limit on the digits of an integer string
+MAX_EXPONENT = 4300
+# the exponent of a decimal rational string, as fractions.Fraction parses it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _rat_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
@@ -340,6 +388,13 @@ def _rat_from_json(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # Fraction("1e10000000") computes 10**10000000, so a large
+            # exponent is refused before it is applied
+            exponent = _EXPONENT.search(value)
+            if exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT:
+                raise InvalidModel(
+                    "exponent of rational string %r exceeds %d in magnitude" % (value, MAX_EXPONENT)
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidModel("bad rational string %r" % value) from exc

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st, given
 
 from k3chambers import chambers, cli, gallery, linalg, model, zariski
 
@@ -319,3 +324,167 @@ def test_entry_point_subprocess(quartic_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coincide"] is False
+
+
+def test_corrupted_pairing_rows_exit_4(capsys, tmp_path, monkeypatch):
+    """A configuration model validates without its pairing rows, so wrong
+    rows reach the witness check, which reports them as a typed error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(model.model_to_json(model.to_configuration(gallery.quartic_example().model)))
+    real = model.model_from_json
+
+    def corrupted(text):
+        m = real(text)
+        rows, q = m.pairing_rows
+        m.__dict__["pairing_rows"] = (tuple(tuple(-x for x in row) for row in rows), q)
+        return m
+
+    monkeypatch.setattr(model, "model_from_json", corrupted)
+    code, out, _ = run_cli(capsys, "witness", str(path), "L1")
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
+# ---------------------------------------------------------------------------
+# rational strings with exponents
+# ---------------------------------------------------------------------------
+
+HUGE_EXPONENTS = ["1e10000000", "1e-10000000", "3E+1_000_000_000", "0e4301", "-2.5e-4301"]
+
+
+@pytest.mark.parametrize("value", HUGE_EXPONENTS)
+def test_huge_exponent_in_model_exits_2_at_once(capsys, tmp_path, value):
+    doc = {"mode": "configuration", "gram": [[-2]], "curves": [{"name": "C1"}],
+           "ample": {"dots": [value], "self": 2}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid_model"
+
+
+@pytest.mark.parametrize("value", HUGE_EXPONENTS)
+def test_huge_exponent_in_divisor_exits_2_at_once(capsys, quartic_file, value):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, json.dumps([value, 0, 0]))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid_model"
+
+
+def test_exponents_up_to_the_limit_still_parse(capsys, tmp_path, quartic_file):
+    assert model.MAX_EXPONENT == 4300
+    doc = {"mode": "configuration", "gram": [[-2]], "curves": [{"name": "C1"}],
+           "ample": {"dots": ["1e4300"], "self": "2.5e-4300"}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["valid"]
+    m = model.model_from_json(path.read_text())
+    assert m.ample_dots == (Fraction(10) ** 4300,)
+    assert m.ample_self == Fraction(25, 10 ** 4301)
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, '["5e0", "0.7E1", "2_0e-1"]')
+    assert code == 0
+    assert json.loads(out)["divisor"] == {"coords": ["5", "7", "2"]}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command-line boundary
+# ---------------------------------------------------------------------------
+
+# leaves that are not small integers: rational strings (some over the
+# exponent limit), malformed strings and JSON values of the wrong type
+_odd_leaves = st.one_of(
+    st.sampled_from(["1/2", "-3/4", "0", "1/0", "2.5e-2", "1e4300", "x", "", *HUGE_EXPONENTS]),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(max_size=4),
+)
+_any_json = st.recursive(
+    st.one_of(st.integers(-3, 3), _odd_leaves),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A model document with at most 4 curves and 4 lattice dimensions, and
+    a divisor argument.  Models are near-valid configurations, the gallery's
+    full lattices, random full lattices or arbitrary JSON; in half the cases
+    some of their entries are odd leaves.  Divisors mostly fit the model."""
+    spoil = draw(st.booleans())
+
+    def leaf(good):
+        return draw(_odd_leaves) if spoil and draw(st.integers(0, 5)) == 0 else draw(good)
+
+    kind = draw(st.sampled_from(["configuration", "gallery", "full_lattice", "any"]))
+    n = k = draw(st.integers(0, 4))
+    if kind == "any":
+        doc = draw(_any_json)
+    elif kind == "gallery":
+        entry = gallery.gallery_entry(draw(st.sampled_from(gallery.GALLERY_IDS)))
+        base = model.model_to_document(entry.model)
+        doc = json.loads(json.dumps(base), parse_int=lambda x: leaf(st.just(int(x))))
+        n, k = len(base["curves"]), len(base["gram"])
+    elif kind == "configuration":
+        meet = {(i, j): leaf(st.integers(0, 2)) for i in range(n) for j in range(i + 1, n)}
+        doc = {
+            "mode": leaf(st.just(kind)),
+            "gram": [[leaf(st.just(-2)) if i == j else meet[min(i, j), max(i, j)]
+                      for j in range(n)] for i in range(n)],
+            "curves": [{"name": "C%d" % i} for i in range(n)],
+            "ample": {"dots": [leaf(st.integers(1, 3)) for _ in range(n)],
+                      "self": leaf(st.integers(1, 4))},
+        }
+    else:
+        k = draw(st.integers(1, 4))
+        form = {(i, j): leaf(st.integers(-2, 2)) for i in range(k) for j in range(i, k)}
+        doc = {
+            "mode": leaf(st.just(kind)),
+            "gram": [[form[min(i, j), max(i, j)] for j in range(k)] for i in range(k)],
+            "curves": [{"name": "C%d" % i, "coords": [leaf(st.integers(-1, 1)) for _ in range(k)]}
+                       for i in range(n)],
+            "ample": {"coords": [leaf(st.integers(-1, 2)) for _ in range(k)]},
+        }
+
+    small = st.integers(-3, 5)
+    shape = draw(st.sampled_from(["coords", "ample", "text", "any"]))
+    fits = k if shape != "ample" else n
+    length = draw(st.sampled_from([fits, fits, fits, 0, 5]))
+    entries = [leaf(small) for _ in range(length)]
+    if shape == "text":
+        return doc, ",".join(str(x) for x in entries)
+    if shape == "any":
+        return doc, json.dumps(draw(_any_json))
+    if shape == "ample":
+        return doc, json.dumps({"t": leaf(small), "a": entries})
+    return doc, json.dumps(entries)
+
+
+@settings(max_examples=200)
+@given(_fuzz_cases(), st.sampled_from(["validate", "decompose", "chambers"]))
+def test_cli_boundary_fuzz(case, command):
+    """Whatever the documents, the CLI exits 0, 2 or 3 with one JSON
+    document on stdout, which names an error code on a non-zero exit."""
+    doc, divisor = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        # "--" so that a divisor such as "-1,0" is not read as an option
+        argv = [command, str(path)] + (["--", divisor] if command == "decompose" else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 2, 3)
+    report = json.loads(out.getvalue())
+    if code and "error" not in report:
+        # validate reports a model that fails validation as its answer
+        assert command == "validate" and report["valid"] is False and report["failures"]
+    elif code:
+        assert isinstance(report["error"]["code"], str)

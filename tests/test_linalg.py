@@ -199,6 +199,52 @@ def test_fm_empty_problem_is_feasible():
     assert res.feasible and res.sample == (0, 0, 0)
 
 
+def _row(coeffs, constant, sense):
+    return SignConstraint(linalg.vec(coeffs), Fraction(constant), sense)
+
+
+# pinned verdicts and samples of edge cases; a sample fixes the elimination
+# order, in which ties in occurrence count go to the lowest variable index
+@pytest.mark.parametrize(
+    "problem,sample",
+    [
+        pytest.param(LinearSystemFeasibility(0, (_row([], 1, ">"),), frozenset()), (),
+                     id="no-variables-true-row"),
+        pytest.param(LinearSystemFeasibility(0, (_row([], 0, ">"),), frozenset()), None,
+                     id="no-variables-false-row"),
+        pytest.param(LinearSystemFeasibility(2, (), frozenset()), (0, 0),
+                     id="no-rows-no-nonneg"),
+        pytest.param(LinearSystemFeasibility(3, (), frozenset({0, 2})), (1, 0, 1),
+                     id="only-nonneg"),
+        pytest.param(LinearSystemFeasibility(
+            2, (_row([0, 0], "1/2", ">"), _row([1, -1], 0, "<")), frozenset({0})),
+            ("1/2", 1), id="zero-row-feasible"),
+        pytest.param(LinearSystemFeasibility(
+            2, (_row([1, 1], 1, ">"), _row([0, 0], 0, ">")), frozenset()),
+            None, id="zero-row-infeasible"),
+        pytest.param(LinearSystemFeasibility(
+            2, (_row([0, 0], "1/3", "<"), _row([1, 0], 0, ">")), frozenset({1})),
+            None, id="zero-row-infeasible-lt"),
+        pytest.param(LinearSystemFeasibility(2, (
+            _row([1, -1], 0, ">"), _row([1, 1], -1, "<"),
+            _row([0, 1], "-1/4", ">"), _row([1, 0], -2, "<"),
+        ), frozenset()), ("1/2", "3/8"), id="tie-two-variables"),
+        pytest.param(LinearSystemFeasibility(3, (
+            _row([1, 2, 0], -1, ">"), _row([0, 1, -3], "1/2", "<"), _row([-1, 0, 1], 2, ">"),
+        ), frozenset({0, 1, 2})), ("19/12", "3/2", "7/6"), id="tie-three-variables"),
+        pytest.param(LinearSystemFeasibility(
+            2, (_row([1, -1], 0, ">"), _row([-1, 1], 0, ">")), frozenset()),
+            None, id="tie-infeasible"),
+    ],
+)
+def test_fm_edge_cases_keep_their_verdicts_and_samples(problem, sample):
+    res = fm_feasible(problem)
+    assert res.feasible == (sample is not None)
+    assert res.sample == (None if sample is None else linalg.vec(sample))
+    if res.feasible:
+        assert _satisfies(problem, res.sample)
+
+
 def test_fm_rejects_undeclared_variables():
     row = SignConstraint(linalg.vec([1, 2]), Fraction(0), "<")
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import k3chambers
 from k3chambers import chambers, gallery, model
-from k3chambers.errors import IndexOutOfRange, InvalidModel, ModeMismatch
+from k3chambers.errors import IndexOutOfRange, InvalidModel, InvariantViolated, ModeMismatch
 from k3chambers.model import (
     Mode,
     config_divisor,
@@ -273,3 +273,80 @@ def test_divisor_document_config(quartic):
     assert model.divisor_from_document(cfg, doc) == d
     with pytest.raises(InvalidModel):
         model.divisor_from_document(cfg, {"coords": [1, 2, 3]})
+
+
+# ---------------------------------------------------------------------------
+# integer pairing rows
+# ---------------------------------------------------------------------------
+
+
+def _fractions(k):
+    return st.lists(rationals, min_size=k, max_size=k)
+
+
+@st.composite
+def _config_model_and_divisor(draw):
+    n = draw(st.integers(0, 4))
+    gram = [draw(_fractions(n)) for _ in range(n)]
+    names = ["C%d" % i for i in range(n)]
+    m = model.configuration_model(gram, names, draw(_fractions(n)), draw(rationals))
+    return m, config_divisor(draw(rationals), draw(_fractions(n)))
+
+
+@st.composite
+def _full_model_and_divisor(draw):
+    k = draw(st.integers(1, 4))
+    gram = [draw(_fractions(k)) for _ in range(k)]
+    curves = [("C%d" % i, draw(_fractions(k))) for i in range(draw(st.integers(0, 4)))]
+    m = full_lattice_model(gram, curves, draw(_fractions(k)))
+    return m, full_divisor(draw(_fractions(k)))
+
+
+@given(_config_model_and_divisor())
+def test_configuration_pairings_match_fraction_oracle(case):
+    m, d = case
+    t, a, g, h = d.ample_coeff, d.curve_coeffs, m.gram, m.ample_dots
+    expected = tuple(
+        t * h[i] + sum((g[i][j] * a[j] for j in range(len(a))), Fraction(0))
+        for i in range(len(h))
+    )
+    assert model.pairings_with_curves(m, d) == expected
+
+
+@given(_full_model_and_divisor())
+def test_full_lattice_pairings_match_fraction_oracle(case):
+    m, d = case
+    g = m.gram
+
+    def form(u, v):  # u^T Gram v
+        terms = (u[j] * g[j][k] * v[k] for j in range(len(u)) for k in range(len(v)))
+        return sum(terms, Fraction(0))
+
+    coords = [c.coords for c in m.curves]
+    assert model.pairings_with_curves(m, d) == tuple(form(c, d.coords) for c in coords)
+    assert m.curve_gram == tuple(tuple(form(c, e) for e in coords) for c in coords)
+    assert m.ample_pairings == tuple(form(c, m.ample_coords) for c in coords)
+
+
+def test_pairing_rows_build_is_checked_against_the_rational_data(monkeypatch):
+    m = model_from_json(model_to_json(gallery.quartic_example().model))
+    real = model.linalg.over_common_denominator
+
+    def off_by_one(v):
+        w, den = real(v)
+        return (w[0] + 1, *w[1:]), den
+
+    monkeypatch.setattr(model.linalg, "over_common_denominator", off_by_one)
+    with pytest.raises(InvariantViolated, match="pairing_rows"):
+        m.pairing_rows
+
+
+def test_corrupted_pairing_rows_trip_the_witness_check():
+    """Witness pairings come from the cached integer rows and are checked
+    against the witness's defining equations: a wrong row is caught."""
+    m = model_from_json(model_to_json(gallery.quartic_example().model))
+    assert validate_model(m).valid  # curve_gram and ample_pairings from the true rows
+    rows, q = m.pairing_rows
+    m.__dict__["pairing_rows"] = (tuple(tuple(-x for x in row) for row in rows), q)
+    with pytest.raises(InvariantViolated, match="weyl_witness"):
+        chambers.weyl_witness(m, (0,))
