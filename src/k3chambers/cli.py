@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -55,8 +56,12 @@ def _load_model(path: str) -> model.SurfaceModel:
     m = model.model_from_json(text)
     report = model.validate_model(m)
     if not report.valid:
-        raise InvalidModel("model failed validation: " + "; ".join(report.failures))
+        raise InvalidModel(_failed_validation(report))
     return m
+
+
+def _failed_validation(report: model.ValidationReport) -> str:
+    return "model failed validation: " + "; ".join(report.failures)
 
 
 def _parse_divisor(m: model.SurfaceModel, text: str) -> model.DivisorClass:
@@ -96,13 +101,14 @@ def _cmd_validate(args) -> int:
         raise InvalidModel("cannot read model file: %s" % exc) from exc
     m = model.model_from_json(text)
     report = model.validate_model(m)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "valid": report.valid,
-            "failures": list(report.failures),
-        }
-    )
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "valid": report.valid,
+        "failures": list(report.failures),
+    }
+    if not report.valid:
+        doc["error"] = {"code": InvalidModel.code, "message": _failed_validation(report)}
+    _emit(doc)
     return 0 if report.valid else 2
 
 
@@ -276,8 +282,20 @@ def _cmd_random(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with a minus sign and a number, such as
+    the divisor ``-1,0,5``, as a value rather than as an unknown option.
+    argparse already reads plain negative numbers (``-1``) as values by
+    matching this attribute; the wider pattern is safe because no option of
+    this CLI starts with a minus sign and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3chambers",
         description="Exact Zariski/Weyl chamber computations on K3 lattice models",
     )

@@ -253,9 +253,10 @@ def inverse_nonpositive_check(s: Mat) -> bool:
 SENSE_LT = "<"
 SENSE_GT = ">"
 
-# internal row form: (coeffs: int tuple, const: int, strict: bool)
-# meaning  coeffs . x + const  >= 0  (or > 0 when strict)
-_Row = tuple[tuple[int, ...], int, bool]
+# internal row form: (coeffs: int tuple, const: int, strict: bool, origins: int)
+# meaning  coeffs . x + const  >= 0  (or > 0 when strict); origins is a bitmask
+# over the system's input rows, the ones the row was combined from
+_Row = tuple[tuple[int, ...], int, bool, int]
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ class SignConstraint:
     sense: str
 
     @cached_property
-    def integer_row(self) -> _Row:
+    def integer_row(self) -> tuple[tuple[int, ...], int, bool]:
         """The constraint as a primitive integer row ``a . x + c > 0``
         (negated for ``<``), computed once per row and checked to be a
         positive multiple of the rational row."""
@@ -311,19 +312,36 @@ class _Infeasible(Exception):
 
 
 def _dedupe(rows: Iterable[_Row]) -> list[_Row]:
-    # keep only the strongest row per direction: smallest constant, strict
-    # beating non-strict at equal constant
-    best: dict[tuple[int, ...], tuple[int, bool]] = {}
-    for a, c, strict in rows:
+    # Keep only the strongest row per direction: smallest constant, strict
+    # beating non-strict at equal constant.  Its origins become the
+    # intersection of the origins of every row of that direction, which keeps
+    # Chernikov's rule (see _combine) sound: by induction over the stages,
+    # every row that the rule alone would keep is implied by a kept row whose
+    # origins are a subset of its own.  Combining two such rows gives the
+    # same direction, a constant at least as strong and no more origins, so
+    # the rule never drops it.  Keeping the strongest row's own origins
+    # instead can drop the only row that carries a bound.
+    best: dict[tuple[int, ...], tuple[int, bool, int]] = {}
+    for a, c, strict, origins in rows:
         cur = best.get(a)
-        if cur is None or (c, not strict) < (cur[0], not cur[1]):
-            best[a] = (c, strict)
-    return [(a, c, strict) for a, (c, strict) in best.items()]
+        if cur is None:
+            best[a] = (c, strict, origins)
+        elif (c, not strict) < (cur[0], not cur[1]):
+            best[a] = (c, strict, origins & cur[2])
+        else:
+            best[a] = (cur[0], cur[1], origins & cur[2])
+    return [(a, c, strict, origins) for a, (c, strict, origins) in best.items()]
 
 
-def _combine(low: _Row, up: _Row, v: int) -> _Row | None:
-    la, lc, ls = low
-    ua, uc, us = up
+def _combine(low: _Row, up: _Row, v: int, limit: int) -> _Row | None:
+    # Chernikov's rule: after k eliminations a row combined from more than
+    # k + 1 input rows is a positive combination of rows with fewer origins,
+    # so it is redundant and never built; limit is k + 1
+    origins = low[3] | up[3]
+    if origins.bit_count() > limit:
+        return None
+    la, lc, ls, _ = low
+    ua, uc, us, _ = up
     lam, mu = -ua[v], la[v]  # both > 0
     coeffs = tuple(lam * x + mu * y for x, y in zip(la, ua))
     const = lam * lc + mu * uc
@@ -336,16 +354,18 @@ def _combine(low: _Row, up: _Row, v: int) -> _Row | None:
         if const > 0 or (const == 0 and not strict):
             return None
         raise _Infeasible
-    return (coeffs, const, strict)
+    return (coeffs, const, strict, origins)
 
 
 def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     """Exact Fourier-Motzkin elimination with native strict inequalities.
 
     Variables are eliminated in decreasing constraint-occurrence order
-    (ties by lowest index).  Each row enters in the integer form its
-    SignConstraint caches, so a row shared by many systems is normalized
-    once.  When the system is feasible, a rational sample point is
+    (ties by lowest index).  Combined rows that Chernikov's rule shows to be
+    redundant are never built, which keeps the row count from growing doubly
+    exponentially with the number of variables.  Each row enters in the
+    integer form its SignConstraint caches, so a row shared by many systems
+    is normalized once.  When the system is feasible, a rational sample point is
     reconstructed by back-substituting interval midpoints in integers over a
     common denominator, then checked exactly against every original row and
     nonnegativity bound.
@@ -362,20 +382,20 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     try:
         rows: list[_Row] = []
         for row in problem.strict_rows:
-            r = row.integer_row
-            if any(r[0]):
-                rows.append(r)
-            elif r[1] <= 0:
+            a, c, strict = row.integer_row
+            if any(a):
+                rows.append((a, c, strict, 1 << len(rows)))
+            elif c <= 0:
                 raise _Infeasible
         for v in sorted(problem.nonneg_vars):
-            rows.append(((0,) * v + (1,) + (0,) * (n - v - 1), 0, False))
+            rows.append(((0,) * v + (1,) + (0,) * (n - v - 1), 0, False, 1 << len(rows)))
         rows = _dedupe(rows)
 
         stages: list[tuple[int, list[_Row], list[_Row]]] = []
         remaining = set(range(n))
         while remaining:
             # occurrences per variable, counted down the columns
-            columns = zip(*(a for a, _, _ in rows))
+            columns = zip(*(r[0] for r in rows))
             occ = [len(rows) - col.count(0) for col in columns] or [0] * n
             v = max(sorted(remaining), key=occ.__getitem__)
             # one pass, keeping row order: the passthrough rows open the next stage
@@ -389,10 +409,11 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                     uppers.append(r)
                 else:
                     new.append(r)
+            limit = len(stages) + 2  # this stage makes k = len(stages) + 1 eliminations
             stages.append((v, lowers, uppers))
             for low in lowers:
                 for up in uppers:
-                    c = _combine(low, up, v)
+                    c = _combine(low, up, v, limit)
                     if c is not None:
                         new.append(c)
             rows = _dedupe(new)
@@ -408,13 +429,13 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
         # bounds on den * x_v, each as (p, q, strict) meaning p / q with q > 0
         lo: tuple[int, int, bool] | None = None
         hi: tuple[int, int, bool] | None = None
-        for a, c, strict in lowers:
+        for a, c, strict, _ in lowers:
             p, q = -(c * den + sum(map(mul, a, num))), a[v]
             if lo is None or p * lo[1] > lo[0] * q:
                 lo = (p, q, strict)
             elif p * lo[1] == lo[0] * q and strict:
                 lo = (p, q, True)
-        for a, c, strict in uppers:
+        for a, c, strict, _ in uppers:
             p, q = c * den + sum(map(mul, a, num)), -a[v]
             if hi is None or p * hi[1] < hi[0] * q:
                 hi = (p, q, strict)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -381,7 +382,22 @@ def _rat_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
 
+def _printable(n: int) -> bool:
+    """Whether ``str(n)`` stays within Python's limit on the digits of an
+    integer string (no limit where the interpreter has none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
 def _rat_from_json(value) -> Fraction:
+    x = _parse_rat(value)
+    # a value the reports could not print is refused here, not while printing
+    if not (_printable(x.numerator) and _printable(x.denominator)):
+        raise InvalidModel("rational value has more digits than an integer string may have")
+    return x
+
+
+def _parse_rat(value) -> Fraction:
     if isinstance(value, bool):
         raise InvalidModel("boolean is not a rational number")
     if isinstance(value, int):

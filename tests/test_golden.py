@@ -16,6 +16,7 @@ MODELS = {
     "double-cover.json": ["gallery", "double-cover"],
     "random.json": ["random", "--seed", "3", "--n", "7", "--density", "0.2"],
     "random9.json": ["random", "--seed", "0", "--n", "9", "--density", "0.2"],
+    "random9-3.json": ["random", "--seed", "3", "--n", "9", "--density", "0.2"],
 }
 
 STDOUT_DIGESTS = {
@@ -35,6 +36,12 @@ STDOUT_DIGESTS = {
     "chambers random n9": (
         ["chambers", "random9.json"],
         "a34aab23accefb5d6c2883edd8b6bbf884dce4e055d4c917530f56171d096f59",
+    ),
+    # recorded with Chernikov's rule in Fourier-Motzkin; without it some of
+    # these 512 systems grow past 20k rows and the run does not finish
+    "chambers random n9 seed 3": (
+        ["chambers", "random9-3.json"],
+        "fb34bb19339c9c19ebe85b57ecff62db8637712ca72a8499fb4c74c405bdc8d9",
     ),
     "decompose quartic": (
         ["decompose", "quartic.json", "[5,7,2]"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 from itertools import combinations, product
 
 import pytest
@@ -331,9 +332,42 @@ def test_corrupted_integer_row_trips_the_sample_check():
         fm_feasible(problem)
 
 
-# The oracle: max t subject to every strict row being at least t (after
-# orienting it as "> 0"), t <= 1 and the nonnegativity bounds.  The strict
-# system is feasible exactly when that maximum is positive.
+# The oracle: the strict system is feasible exactly when the LP
+#   max u  subject to  u <= s,  u <= every strict row oriented as "> 0" at
+#   (x, s) with its constant multiplied by s,  the sum of all variables
+#   plus s <= 1,  and every variable >= 0
+# has a positive maximum, with each free x_j written as p_j - m_j; then
+# x / s satisfies the system.  The origin is a vertex of this LP, so sympy's
+# simplex needs no phase one.  Its phase one, reached by the earlier form of
+# this oracle (max t subject to every oriented row >= t, t <= 1), reported
+# 1 for the infeasible x0 < 1, x0 > 1, x0 < 2, returned points that violate
+# the rows of some 5-8 variable systems, and on one 8-variable system ran
+# for minutes without an answer.
+def _simplex_says_feasible(problem):
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmax
+
+    n = problem.num_vars
+    ps = sympy.symbols("p0:%d" % n)
+    ms = [sympy.Integer(0) if v in problem.nonneg_vars else sympy.Symbol("m%d" % v)
+          for v in range(n)]
+    xs = [p - m for p, m in zip(ps, ms)]
+    s, u = sympy.symbols("s u")
+    variables = [*ps, *(m for m in ms if m != 0), s, u]
+    constraints = [v >= 0 for v in variables] + [u <= s, sum(variables[:-1]) <= 1]
+    for row in problem.strict_rows:
+        value = sum((sympy.Rational(c.numerator, c.denominator) * x
+                     for c, x in zip(row.coeffs, xs)), sympy.Integer(0))
+        value += sympy.Rational(row.constant.numerator, row.constant.denominator) * s
+        constraints.append(u <= (value if row.sense == ">" else -value))
+    best, point = lpmax(u, constraints)
+    if best <= 0:
+        return False
+    sample = tuple(Fraction(str(x.subs(point) / point[s])) for x in xs)
+    assert _satisfies(problem, sample), "the oracle's point violates the system"
+    return True
+
+
 _fm_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -355,19 +389,82 @@ def _sign_systems(draw):
 @settings(max_examples=60)
 @given(_sign_systems())
 def test_fm_feasible_agrees_with_sympy_simplex(problem):
-    sympy = pytest.importorskip("sympy")
-    from sympy.solvers.simplex import lpmax
-
-    xs = sympy.symbols("x0:%d" % problem.num_vars)
-    t = sympy.Symbol("t")
-    constraints = [t <= 1] + [xs[v] >= 0 for v in sorted(problem.nonneg_vars)]
-    for row in problem.strict_rows:
-        value = sum((sympy.Rational(c.numerator, c.denominator) * x
-                     for c, x in zip(row.coeffs, xs)), sympy.Integer(0))
-        value += sympy.Rational(row.constant.numerator, row.constant.denominator)
-        constraints.append((value if row.sense == ">" else -value) >= t)
-    best, _ = lpmax(t, constraints)
     res = fm_feasible(problem)
-    assert res.feasible == (best > 0)
+    assert res.feasible == _simplex_says_feasible(problem)
     if res.feasible:
         assert _satisfies(problem, res.sample)
+
+
+# Weyl-shaped systems: one strict row per variable, as a Weyl sign system
+# has one per curve, and nonnegativity on every variable.  These are the
+# systems where Chernikov's rule prunes rows, and an infeasible verdict
+# carries no certificate, so the verdict is checked against the oracle.
+_weyl_entries = st.one_of(
+    st.integers(min_value=-2, max_value=2).map(Fraction),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+def _weyl_shaped(n, entries, senses):
+    """The system with row i = entries[i*(n+1) : (i+1)*(n+1)] (coefficients,
+    then constant) and sense senses[i]."""
+    rows = tuple(
+        SignConstraint(tuple(entries[i * (n + 1): i * (n + 1) + n]),
+                       entries[i * (n + 1) + n], senses[i])
+        for i in range(n)
+    )
+    return LinearSystemFeasibility(n, rows, frozenset(range(n)))
+
+
+@st.composite
+def _weyl_shaped_systems(draw):
+    n = draw(st.integers(min_value=5, max_value=8))
+    entries = draw(st.lists(_weyl_entries, min_size=n * (n + 1), max_size=n * (n + 1)))
+    senses = draw(st.lists(st.sampled_from(("<", ">")), min_size=n, max_size=n))
+    return _weyl_shaped(n, entries, senses)
+
+
+@settings(max_examples=30)
+@given(_weyl_shaped_systems())
+def test_fm_feasible_agrees_with_sympy_simplex_on_weyl_shaped_systems(problem):
+    res = fm_feasible(problem)
+    assert res.feasible == _simplex_says_feasible(problem)
+    if res.feasible:
+        assert _satisfies(problem, res.sample)
+
+
+def test_chernikov_rule_prunes_weyl_shaped_systems(monkeypatch):
+    """The rule really drops rows on such systems, and the verdicts still
+    agree with the oracle."""
+    combine = linalg._combine
+    calls = pruned = 0
+
+    def counting(low, up, v, limit):
+        nonlocal calls, pruned
+        calls += 1
+        pruned += (low[3] | up[3]).bit_count() > limit
+        return combine(low, up, v, limit)
+
+    monkeypatch.setattr(linalg, "_combine", counting)
+    rng = random.Random(5)
+    entries = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
+               Fraction(-3, 2), Fraction(1, 3), Fraction(2, 3)]
+    for n in (5, 6, 7, 8):
+        problem = _weyl_shaped(n, [rng.choice(entries) for _ in range(n * (n + 1))],
+                               [rng.choice("<>") for _ in range(n)])
+        res = fm_feasible(problem)
+        assert res.feasible == _simplex_says_feasible(problem)
+    assert calls and pruned > calls // 4
+
+
+def test_dedupe_keeps_the_strongest_row_with_the_common_origins():
+    a = (1, -1)
+    rows = [(a, 3, True, 0b0011), ((0, 1), 0, False, 0b0100), (a, 1, False, 0b0110),
+            (a, 1, True, 0b1010)]
+    assert linalg._dedupe(rows) == [(a, 1, True, 0b0010), ((0, 1), 0, False, 0b0100)]
+
+
+def test_combine_skips_rows_with_too_many_origins():
+    low, up = ((1, 2), 0, True, 0b011), ((-1, 1), 1, False, 0b100)
+    assert linalg._combine(low, up, 0, 3) == ((0, 3), 1, True, 0b111)
+    assert linalg._combine(low, up, 0, 2) is None
