@@ -9,11 +9,22 @@ Two chamber families are computed by deliberately independent routes:
   negatively and all others positively, by exact Fourier-Motzkin
   elimination.
 
-The two enumerations share no code path, so comparing them is a genuine
-check of the count equality rather than a tautology.  The module also
-decides the coincidence criterion (no pair of curves meeting in one point)
-and the two chamber-inclusion criteria, each with explicit certificates,
-and classifies negative definite supports by their A-D-E diagram type.
+Both families are products over the connected components of the curve
+graph, and each enumeration runs once per component.  The Zariski side
+takes its components from the curve Gram: a set is negative definite iff
+its part in every component is, so the hereditary search runs inside each
+component, and each witness is solved piece by piece.  The Weyl side takes
+its blocks from the nonzero pattern of the integer sign rows: a sign system
+splits into one system per block and is feasible iff every block system is,
+so each block's 2^|K| patterns are decided once and a chamber's witness
+joins its blocks' samples.
+
+The two enumerations share no code path, not even the component search, so
+comparing them is a genuine check of the count equality rather than a
+tautology.  The module also decides the coincidence criterion (no pair of
+curves meeting in one point) and the two chamber-inclusion criteria, each
+with explicit certificates, and classifies negative definite supports by
+their A-D-E diagram type.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ from .errors import NotBig, NotNegativeDefinite, SizeLimit, UnrecognizedDiagram,
 from .linalg import LinearSystemFeasibility, SignConstraint
 from .model import DivisorClass, SurfaceModel
 
-# largest curve count enumerate_weyl_chambers accepts: it solves 2^n systems
+# largest curve count enumerate_weyl_chambers accepts: it solves sum(2^|K|)
+# systems over its blocks K, but its atlas can still hold 2^n records
 MAX_WEYL_CURVES = 12
 
 # the negative definite subsets of a model, as computed once per Zariski
@@ -144,23 +156,57 @@ def zariski_chamber_of(
 # ---------------------------------------------------------------------------
 
 
+def _curve_components(m: SurfaceModel, curves) -> list[tuple[int, ...]]:
+    """The curves split into connected pieces of the curve graph, two curves
+    linked when they meet (g_ij != 0); each piece sorted, the pieces in
+    order of their smallest curve."""
+    g = model.curve_gram(m)
+    unseen = set(curves)
+    pieces = []
+    for start in sorted(unseen):
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        piece = [start]
+        stack = [start]
+        while stack:
+            row = g[stack.pop()]
+            linked = [w for w in unseen if row[w]]
+            unseen.difference_update(linked)
+            piece.extend(linked)
+            stack.extend(linked)
+        pieces.append(tuple(sorted(piece)))
+    return pieces
+
+
+def _hereditary_search(m: SurfaceModel, comp: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The negative definite subsets of one component, plus the empty set,
+    by breadth-first growth: a set grows only by curves after its last."""
+    family: list[tuple[int, ...]] = [()]
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while frontier:
+        grown = []
+        for s, start in frontier:
+            for pos in range(start, len(comp)):
+                t = s + (comp[pos],)
+                if linalg.is_negative_definite(model.restrict_gram(m, t)):
+                    grown.append((t, pos + 1))
+        family.extend(t for t, _ in grown)
+        frontier = grown
+    return family
+
+
 def negative_definite_subsets(m: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     """All curve-index sets with negative definite restricted Gram, plus the
-    empty set, by hereditary breadth-first growth."""
-    n = model.curve_count(m)
+    empty set, in (size, indices) order.  The restricted Gram is block
+    diagonal over the components of the curve graph, so a set is negative
+    definite iff its part in each component is: the hereditary search runs
+    inside each component and the family is the product of theirs."""
     family: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    while frontier:
-        grown: list[tuple[int, ...]] = []
-        for s in frontier:
-            start = s[-1] + 1 if s else 0
-            for c in range(start, n):
-                t = s + (c,)
-                if linalg.is_negative_definite(model.restrict_gram(m, t)):
-                    grown.append(t)
-        family.extend(grown)
-        frontier = grown
-    return tuple(sorted(family, key=lambda s: (len(s), s)))
+    for comp in _curve_components(m, range(model.curve_count(m))):
+        local = _hereditary_search(m, comp)
+        family = [s + t for s in family for t in local]
+    return tuple(sorted((tuple(sorted(s)) for s in family), key=lambda s: (len(s), s)))
 
 
 def _is_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None) -> bool:
@@ -181,12 +227,14 @@ def _require_negative_definite(
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
     """One chamber per negative definite subset.  The family is computed
     once and handed to the per-support witness, criteria and A-D-E
-    classification, which then decide negative definiteness by membership."""
+    classification, which then decide negative definiteness by membership.
+    Each connected piece's witness system is solved once for the atlas."""
     supports = negative_definite_subsets(m)
     family = frozenset(frozenset(s) for s in supports)
+    solved: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     records = []
     for s in supports:
-        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family)
+        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family, solved)
         records.append(
             ChamberRecord(
                 support=s,
@@ -233,26 +281,81 @@ def check_weyl_size(m: SurfaceModel) -> None:
         )
 
 
+def _weyl_blocks(rows) -> tuple[tuple[int, ...], ...]:
+    """The curves split into blocks that no sign row crosses: curves i and j
+    share a block when either one's integer row has a nonzero coefficient on
+    the other's variable.  Each block sorted, in order of its smallest
+    curve."""
+    n = len(rows)
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    support = [[i for i, x in enumerate(gt.integer_row[0]) if x] for gt, _ in rows]
+    for j in range(n):
+        for i in support[j]:
+            parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for j in range(n):
+        groups.setdefault(root(j), []).append(j)
+    blocks = tuple(tuple(b) for b in sorted(groups.values()))
+    block_of = {j: k for k, b in enumerate(blocks) for j in b}
+    require(
+        all(
+            block_of[i] == block_of[j]
+            for j in range(n)
+            for row in rows[j]
+            for i, x in enumerate(row.integer_row[0])
+            if x
+        ),
+        "enumerate_weyl_chambers: a sign row reaches outside its block",
+    )
+    return blocks
+
+
 def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
-    """Independent enumeration of the simple Weyl chambers by exhaustive
-    sign-pattern feasibility.  Exponential in the curve count by design;
+    """Independent enumeration of the simple Weyl chambers by sign-pattern
+    feasibility.  The sign system of a pattern is the disjoint union of one
+    system per block, on that block's variables, and is feasible iff each
+    of them is; so every block decides all its 2^|K| patterns once, and the
+    chambers are the products of feasible block patterns, each witnessed by
+    its blocks' samples joined.  Exponential in the block sizes by design;
     meant for the desk-scale models this package targets.  The sign rows
-    are built once, so each keeps its integer form across all patterns."""
+    are built once per block, so each keeps its integer form across all
+    patterns."""
     check_weyl_size(m)
     n = model.curve_count(m)
     rows = _weyl_rows(m)
-    records = []
-    for size in range(n + 1):
-        for s in combinations(range(n), size):
-            res = linalg.fm_feasible(_sign_system(rows, frozenset(s)))
-            if res.feasible:
-                records.append(
-                    ChamberRecord(
-                        support=s,
-                        witness=model.divisor_from_ample_and_curves(m, 1, res.sample),
-                    )
-                )
-    return ChamberAtlas(ChamberKind.WEYL, tuple(records))
+    # feasible patterns so far, as (support, sample coordinates by curve)
+    patterns: list[tuple[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = [((), ())]
+    for block in _weyl_blocks(rows):
+        block_rows = tuple(
+            tuple(SignConstraint(tuple(r.coeffs[i] for i in block), r.constant, r.sense) for r in rows[j])
+            for j in block
+        )
+        feasible = []
+        for size in range(len(block) + 1):
+            for local in combinations(range(len(block)), size):
+                res = linalg.fm_feasible(_sign_system(block_rows, frozenset(local)))
+                if res.feasible:
+                    feasible.append((tuple(block[p] for p in local), tuple(zip(block, res.sample))))
+        patterns = [(s + t, xs + ys) for s, xs in patterns for t, ys in feasible]
+    joined = []
+    for s, coords in patterns:
+        a = [Fraction(0)] * n
+        for i, x in coords:
+            a[i] = x
+        joined.append((tuple(sorted(s)), a))
+    joined.sort(key=lambda c: (len(c[0]), c[0]))
+    records = tuple(
+        ChamberRecord(support=s, witness=model.divisor_from_ample_and_curves(m, 1, a))
+        for s, a in joined
+    )
+    return ChamberAtlas(ChamberKind.WEYL, records)
 
 
 def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> BijectionReport:
@@ -269,27 +372,42 @@ def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> B
 # ---------------------------------------------------------------------------
 
 
-def weyl_witness(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> DivisorClass:
+def weyl_witness(
+    m: SurfaceModel,
+    s,
+    nd_family: NDFamily | None = None,
+    solved: dict[tuple[int, ...], tuple[Fraction, ...]] | None = None,
+) -> DivisorClass:
     """The divisor D = H + sum(a_i C_i) with D . C_j = -1 for all j in s.
 
     The solve is against the negative definite restricted Gram; the inverse
     has nonpositive entries, so the coefficients come out nonnegative, and
-    D meets every curve outside s positively.  With ``nd_family`` (the
-    model's negative definite subsets) s is checked by membership instead
-    of a definiteness test; the same holds for the criteria and
-    ``classify_ade``.
+    D meets every curve outside s positively.  The restricted Gram is block
+    diagonal over the connected pieces of s, so each piece is solved on its
+    own; ``solved`` maps pieces to their solutions, to be filled and reused
+    across calls.  With ``nd_family`` (the model's negative definite
+    subsets) s is checked by membership instead of a definiteness test; the
+    same holds for the criteria and ``classify_ade``.  Both checks below run
+    on every call, whatever was reused.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("witness construction needs a nonempty support")
     _require_negative_definite(m, s, nd_family)
+    if solved is None:
+        solved = {}
     h = model.ample_pairings(m)
-    sub = model.restrict_gram(m, s)
-    sol = linalg.solve_linear(sub, [Fraction(-1) - h[j] for j in s])
-    require(all(a >= 0 for a in sol), "weyl_witness: negative coefficient")
     a = [Fraction(0)] * model.curve_count(m)
-    for pos, j in enumerate(s):
-        a[j] = sol[pos]
+    for piece in _curve_components(m, s):
+        sol = solved.get(piece)
+        if sol is None:
+            sol = linalg.solve_linear(
+                model.restrict_gram(m, piece), [Fraction(-1) - h[j] for j in piece]
+            )
+            solved[piece] = sol
+        for j, x in zip(piece, sol):
+            a[j] = x
+    require(all(x >= 0 for x in a), "weyl_witness: negative coefficient")
     d = model.divisor_from_ample_and_curves(m, 1, a)
     dots = model.pairings_with_curves(m, d)
     require(all(dots[j] == -1 for j in s), "weyl_witness: pairing with the support is not -1")
@@ -457,42 +575,19 @@ def _classify_component(nodes, adj) -> str:
 
 
 def classify_ade(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> tuple[str, ...]:
-    """Split a negative definite support into connected components and name
-    each simply-laced Dynkin diagram.  Components are reported in order of
-    their smallest curve index."""
+    """Split a negative definite support into its connected pieces and name
+    each simply-laced Dynkin diagram.  Pieces are reported in order of their
+    smallest curve index."""
     s = tuple(sorted(set(s)))
     _require_negative_definite(m, s, nd_family)
-    sub = model.restrict_gram(m, s)
-    k = len(s)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if sub[i][j] not in (0, 1):
-                raise UnrecognizedDiagram(
-                    "pairing %s within a negative definite set" % sub[i][j]
-                )
-    adj = {v: set() for v in range(k)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if sub[i][j] == 1:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen: set[int] = set()
-    labels = []
-    for start in range(k):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        labels.append(_classify_component(comp, adj))
-    return tuple(labels)
+    g = model.curve_gram(m)
+    for i, j in combinations(s, 2):
+        if g[i][j] not in (0, 1):
+            raise UnrecognizedDiagram("pairing %s within a negative definite set" % g[i][j])
+    return tuple(
+        _classify_component(piece, {v: {w for w in piece if w != v and g[v][w]} for v in piece})
+        for piece in _curve_components(m, s)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,16 @@ def _cmd_decompose(args) -> int:
     d = _parse_divisor(m, args.divisor)
     result = zariski.zariski_decompose(m, d)
     vol = model.pair(m, result.nef_part, result.nef_part)
-    names = model.curve_names(m)
+    neg_names = _names(m, (i for i, _ in result.neg_coeffs))
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
             "divisor": model.divisor_to_document(m, d),
             "P": model.divisor_to_document(m, result.nef_part),
-            "N": {names[i]: str(b) for i, b in result.neg_coeffs},
+            "N": dict(zip(neg_names, model.rational_texts(b for _, b in result.neg_coeffs))),
             "neg_set": _names(m, result.neg_set),
             "null_set": _names(m, result.null_set),
-            "volume": str(vol),
+            "volume": model.rational_texts([vol])[0],
             "boundary": set(result.null_set) > set(result.neg_set),
         }
     )
@@ -222,7 +222,7 @@ def _cmd_witness(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "set": _names(m, s),
             "divisor": model.divisor_to_document(m, d),
-            "pairings": {names[i]: str(dots[i]) for i in range(len(names))},
+            "pairings": dict(zip(names, model.rational_texts(dots))),
         }
     )
     return 0
@@ -282,16 +282,28 @@ def _cmd_random(args) -> int:
     return 0
 
 
+class _UsageError(ValueError):
+    """A command line that argparse refuses; reported as invalid_input."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with a minus sign and a number, such as
     the divisor ``-1,0,5``, as a value rather than as an unknown option.
     argparse already reads plain negative numbers (``-1``) as values by
     matching this attribute; the wider pattern is safe because no option of
-    this CLI starts with a minus sign and a digit."""
+    this CLI starts with a minus sign and a digit.
+
+    A usage error prints usage and message on stderr, as argparse does, and
+    then raises instead of exiting, so that ``main`` reports it as JSON."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,9 +376,8 @@ def _error_doc(exc: Exception, code: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NotBig, NotNegativeDefinite, ModeUnsupported) as exc:
         _emit(_error_doc(exc, exc.code))

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .errors import IndexOutOfRange, InvalidModel, ModeMismatch, require
+from .errors import IndexOutOfRange, InvalidModel, ModeMismatch, SizeLimit, require
 from .linalg import Mat, Vec
 
 
@@ -489,11 +489,24 @@ def model_from_json(text: str) -> SurfaceModel:
 # ---------------------------------------------------------------------------
 
 
+def rational_texts(values) -> list[str]:
+    """The values as report strings.  A value computed from printable inputs
+    (a product, say) can still have more digits than Python prints as an
+    integer string; such a report is refused as over a size limit."""
+    try:
+        return [str(x) for x in values]
+    except ValueError as exc:
+        raise SizeLimit(
+            "a report value has more digits than an integer string may have"
+        ) from exc
+
+
 def divisor_to_document(m: SurfaceModel, d: DivisorClass) -> dict:
     _check_divisor(m, d)
     if m.mode is Mode.FULL_LATTICE:
-        return {"coords": [str(x) for x in d.coords]}
-    return {"t": str(d.ample_coeff), "a": [str(x) for x in d.curve_coeffs]}
+        return {"coords": rational_texts(d.coords)}
+    t, *a = rational_texts((d.ample_coeff, *d.curve_coeffs))
+    return {"t": t, "a": a}
 
 
 def divisor_from_document(m: SurfaceModel, doc) -> DivisorClass:

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers_oracle import sample_big_divisor
+from helpers_oracle import (
+    nd_family_brute_force,
+    sample_big_divisor,
+    weyl_records_exhaustive,
+    zariski_records_brute_force,
+)
 from k3chambers import chambers, gallery, linalg, model
 from k3chambers.chambers import (
     ChamberKind,
@@ -447,3 +452,72 @@ def test_weyl_enumeration_refuses_too_many_curves():
     )
     with pytest.raises(SizeLimit):
         enumerate_weyl_chambers(m)
+
+
+# ---------------------------------------------------------------------------
+# the product atlases against the exhaustive oracles
+# ---------------------------------------------------------------------------
+
+
+def _component_sizes(m):
+    g = model.curve_gram(m)
+    left = set(range(model.curve_count(m)))
+    sizes = []
+    while left:
+        stack = [left.pop()]
+        size = 1
+        while stack:
+            v = stack.pop()
+            linked = {w for w in left if g[v][w]}
+            left -= linked
+            stack.extend(linked)
+            size += len(linked)
+        sizes.append(size)
+    return sorted(sizes)
+
+
+def _isolated_curves(n):
+    return model.configuration_model(
+        [[-2 if i == j else 0 for j in range(n)] for i in range(n)],
+        ["c%d" % i for i in range(n)], list(range(1, n + 1)), 4,
+    )
+
+
+# (seed, n) at density 0.2 whose curve graph has several components; the
+# components of several interleave in the curve order
+MULTI_COMPONENT = [(0, 6), (3, 7), (6, 7), (0, 8), (2, 8), (5, 8), (1, 9), (4, 9), (7, 9)]
+
+ORACLE_MODELS = {
+    **{"multi %d/%d" % sn: lambda sn=sn: gallery.random_configuration(sn[0], sn[1], 0.2)
+       for sn in MULTI_COMPONENT},
+    "single 2/6": lambda: gallery.random_configuration(2, 6, 0.2),
+    "single 0/9": lambda: gallery.random_configuration(0, 9, 0.2),
+    "isolated 4/6": lambda: gallery.random_configuration(4, 6, 0.2),
+    "isolated 5": lambda: _isolated_curves(5),
+    "n0": lambda: _isolated_curves(0),
+    "n1": lambda: _isolated_curves(1),
+    "quartic": lambda: gallery.quartic_example().model,
+    "double-cover": lambda: gallery.double_cover_example().model,
+    "dense 9/6": lambda: gallery.random_configuration(9, 6, 0.5),
+    "dense 4/7": lambda: gallery.random_configuration(4, 7, 0.5),
+}
+
+
+def test_oracle_models_cover_the_component_shapes():
+    shapes = {name: _component_sizes(make()) for name, make in ORACLE_MODELS.items()}
+    assert all(len(shapes["multi %d/%d" % sn]) > 1 for sn in MULTI_COMPONENT)
+    assert any(max(s) > 2 and len(s) > 2 for s in shapes.values())
+    for name in ("single 2/6", "single 0/9", "quartic", "double-cover", "dense 9/6", "dense 4/7"):
+        assert len(shapes[name]) == 1, name
+    assert shapes["isolated 4/6"] == [1] * 6 and shapes["isolated 5"] == [1] * 5
+    assert shapes["n0"] == [] and shapes["n1"] == [1]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_product_atlases_match_the_exhaustive_oracles(name):
+    """Record by record: support, witness, A-D-E labels and both criteria
+    on the Zariski side; support and witness sample on the Weyl side."""
+    m = ORACLE_MODELS[name]()
+    assert negative_definite_subsets(m) == nd_family_brute_force(m)
+    assert enumerate_zariski_chambers(m).records == zariski_records_brute_force(m)
+    assert enumerate_weyl_chambers(m).records == weyl_records_exhaustive(m)

@@ -237,6 +237,17 @@ def test_fm_invariant_exits_4(capsys, quartic_file, monkeypatch):
     assert json.loads(out)["error"]["code"] == "internal_invariant"
 
 
+def test_wrong_piece_solve_in_the_atlas_exits_4(capsys, tmp_path, monkeypatch):
+    """The atlas solves each connected piece once and reuses it; a wrong
+    piece solution is still caught by the checks on the record."""
+    path = tmp_path / "pieces.json"
+    path.write_text(model.model_to_json(gallery.random_configuration(0, 8, 0.2)))
+    monkeypatch.setattr(linalg, "solve_linear", lambda a, b: tuple(Fraction(-1) for _ in b))
+    code, out, _ = run_cli(capsys, "chambers", str(path))
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
 def test_compare_decomposes_the_witness_once(capsys, quartic_file, monkeypatch):
     calls = []
     original = zariski.zariski_decompose
@@ -449,6 +460,17 @@ def test_exponents_up_to_the_limit_still_parse(capsys, tmp_path, quartic_file):
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
                     reason="needs Python's default limit on integer-string digits")
+def test_report_value_too_long_to_print_is_a_size_limit(capsys, quartic_file):
+    """Each input prints, but the volume (about 4400 digits) does not."""
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, '["5e2200","7e2200","2e2200"]')
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "size_limit"
+    assert "4300" not in error["message"]
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs Python's default limit on integer-string digits")
 def test_values_too_long_to_print_are_refused(capsys, quartic_file):
     code, out, _ = run_cli(capsys, "decompose", quartic_file, '["1e4300", "1e4300", "1e4300"]')
     assert code == 2
@@ -558,3 +580,32 @@ def test_cli_boundary_fuzz(case, command):
     report = json.loads(out.getvalue())
     if code:
         assert isinstance(report["error"]["code"], str)
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "quartic.json", "-x"],
+    ["chambers"],
+    ["nosuchcommand"],
+    ["random", "--seed", "abc", "--n", "3"],
+    [],
+])
+def test_usage_error_prints_a_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+    assert err.startswith("usage: k3chambers")
+    assert "error:" in err
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["decompose", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: k3chambers")

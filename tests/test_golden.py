@@ -17,6 +17,7 @@ MODELS = {
     "random.json": ["random", "--seed", "3", "--n", "7", "--density", "0.2"],
     "random9.json": ["random", "--seed", "0", "--n", "9", "--density", "0.2"],
     "random9-3.json": ["random", "--seed", "3", "--n", "9", "--density", "0.2"],
+    "random12.json": ["random", "--seed", "148", "--n", "12", "--density", "0.2"],
 }
 
 STDOUT_DIGESTS = {
@@ -42,6 +43,13 @@ STDOUT_DIGESTS = {
     "chambers random n9 seed 3": (
         ["chambers", "random9-3.json"],
         "fb34bb19339c9c19ebe85b57ecff62db8637712ca72a8499fb4c74c405bdc8d9",
+    ),
+    # a hyperbolic model with 2968 chambers in each family; its curve graph
+    # is a 9-curve component and three isolated curves.  Recorded before the
+    # atlases were factored over the components
+    "chambers random n12 seed 148": (
+        ["chambers", "random12.json"],
+        "879a4608cff79e6796a3de443e967b2c0410cf78906680cefb08982ff3050539",
     ),
     "decompose quartic": (
         ["decompose", "quartic.json", "[5,7,2]"],
