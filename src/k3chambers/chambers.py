@@ -14,7 +14,7 @@ graph, and each enumeration runs once per component.  The Zariski side
 takes its components from the curve Gram: a set is negative definite iff
 its part in every component is, so the hereditary search runs inside each
 component, and each witness is solved piece by piece.  The Weyl side takes
-its blocks from the nonzero pattern of the integer sign rows: a sign system
+its blocks from the nonzero pattern of its sign rows: a sign system
 splits into one system per block and is feasible iff every block system is,
 so each block's 2^|K| patterns are decided once and a chamber's witness
 joins its blocks' samples.
@@ -283,9 +283,10 @@ def check_weyl_size(m: SurfaceModel) -> None:
 
 def _weyl_blocks(rows) -> tuple[tuple[int, ...], ...]:
     """The curves split into blocks that no sign row crosses: curves i and j
-    share a block when either one's integer row has a nonzero coefficient on
-    the other's variable.  Each block sorted, in order of its smallest
-    curve."""
+    share a block when either one's row has a nonzero coefficient on the
+    other's variable.  Each block sorted, in order of its smallest curve.
+    The pattern is read from the rational rows, whose integer forms are
+    only ever built for the block systems."""
     n = len(rows)
     parent = list(range(n))
 
@@ -295,10 +296,10 @@ def _weyl_blocks(rows) -> tuple[tuple[int, ...], ...]:
             i = parent[i]
         return i
 
-    support = [[i for i, x in enumerate(gt.integer_row[0]) if x] for gt, _ in rows]
-    for j in range(n):
-        for i in support[j]:
-            parent[root(i)] = root(j)
+    for j, (gt, _) in enumerate(rows):
+        for i, x in enumerate(gt.coeffs):
+            if x:
+                parent[root(i)] = root(j)
     groups: dict[int, list[int]] = {}
     for j in range(n):
         groups.setdefault(root(j), []).append(j)
@@ -309,7 +310,7 @@ def _weyl_blocks(rows) -> tuple[tuple[int, ...], ...]:
             block_of[i] == block_of[j]
             for j in range(n)
             for row in rows[j]
-            for i, x in enumerate(row.integer_row[0])
+            for i, x in enumerate(row.coeffs)
             if x
         ),
         "enumerate_weyl_chambers: a sign row reaches outside its block",
