@@ -335,7 +335,10 @@ def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
     patterns: list[tuple[tuple[int, ...], tuple[tuple[int, Fraction], ...]]] = [((), ())]
     for block in _weyl_blocks(rows):
         block_rows = tuple(
-            tuple(SignConstraint(tuple(r.coeffs[i] for i in block), r.constant, r.sense) for r in rows[j])
+            tuple(
+                SignConstraint(tuple(r.coeffs[i] for i in block), r.constant, r.sense)
+                for r in rows[j]
+            )
             for j in block
         )
         feasible = []
