@@ -34,6 +34,7 @@ from .gallery import (
 )
 from .linalg import (
     FeasibilityResult,
+    InfeasibilityCertificate,
     LinearSystemFeasibility,
     SignConstraint,
     fm_feasible,

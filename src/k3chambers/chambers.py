@@ -17,7 +17,13 @@ component, and each witness is solved piece by piece.  The Weyl side takes
 its blocks from the nonzero pattern of its sign rows: a sign system
 splits into one system per block and is feasible iff every block system is,
 so each block's 2^|K| patterns are decided once and a chamber's witness
-joins its blocks' samples.
+joins its blocks' samples.  Within a block the patterns run in (size,
+indices) order.  Every infeasible Fourier-Motzkin verdict carries an exactly
+checked certificate naming the sign rows it uses; a later pattern whose
+system holds all those rows is infeasible too, since adding rows to an empty
+system keeps it empty, so it is not solved again.  No pattern is ever pruned
+because a subset of it failed: that downward closure is what the Zariski
+side is compared against.
 
 The two enumerations share no code path, not even the component search, so
 comparing them is a genuine check of the count equality rather than a
@@ -39,8 +45,8 @@ from .errors import NotBig, NotNegativeDefinite, SizeLimit, UnrecognizedDiagram,
 from .linalg import LinearSystemFeasibility, SignConstraint
 from .model import DivisorClass, SurfaceModel
 
-# largest curve count enumerate_weyl_chambers accepts: it solves sum(2^|K|)
-# systems over its blocks K, but its atlas can still hold 2^n records
+# largest curve count enumerate_weyl_chambers accepts: it decides sum(2^|K|)
+# sign patterns over its blocks K, and its atlas can still hold 2^n records
 MAX_WEYL_CURVES = 12
 
 # the negative definite subsets of a model, as computed once per Zariski
@@ -228,18 +234,21 @@ def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
     """One chamber per negative definite subset.  The family is computed
     once and handed to the per-support witness, criteria and A-D-E
     classification, which then decide negative definiteness by membership.
-    Each connected piece's witness system is solved once for the atlas."""
+    Each support is split into its connected pieces once, for both the
+    witness and the A-D-E labels, and each piece's witness system is solved
+    once for the atlas."""
     supports = negative_definite_subsets(m)
     family = frozenset(frozenset(s) for s in supports)
     solved: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     records = []
     for s in supports:
-        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family, solved)
+        pieces = _curve_components(m, s)
+        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family, solved, pieces)
         records.append(
             ChamberRecord(
                 support=s,
                 witness=witness,
-                ade=classify_ade(m, s, family),
+                ade=classify_ade(m, s, family, pieces),
                 weyl_in_zariski=weyl_in_zariski(m, s, family),
                 zariski_interior_in_weyl=zariski_interior_in_weyl(m, s, family),
             )
@@ -327,7 +336,11 @@ def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
     its blocks' samples joined.  Exponential in the block sizes by design;
     meant for the desk-scale models this package targets.  The sign rows
     are built once per block, so each keeps its integer form across all
-    patterns."""
+    patterns.  A pattern is skipped, as infeasible, when its system contains
+    the certificate rows of an earlier infeasible pattern: the curves that
+    certificate needs inside the support and those it needs outside.  Every
+    other pattern is solved on its full system, so the samples do not
+    depend on the skipping."""
     check_weyl_size(m)
     n = model.curve_count(m)
     rows = _weyl_rows(m)
@@ -342,11 +355,22 @@ def enumerate_weyl_chambers(m: SurfaceModel) -> ChamberAtlas:
             for j in block
         )
         feasible = []
+        # (need_in, need_out) bitmasks over the block, one pair per
+        # infeasibility certificate: the curves of its strict rows whose row
+        # is "<", and those whose row is ">"
+        refuted: list[tuple[int, int]] = []
         for size in range(len(block) + 1):
             for local in combinations(range(len(block)), size):
+                mask = sum(1 << p for p in local)
+                if any(mask & need_in == need_in and not mask & need_out
+                       for need_in, need_out in refuted):
+                    continue  # its system contains a refuted one's certificate rows
                 res = linalg.fm_feasible(_sign_system(block_rows, frozenset(local)))
                 if res.feasible:
                     feasible.append((tuple(block[p] for p in local), tuple(zip(block, res.sample))))
+                else:
+                    used = sum(1 << p for p in res.certificate.support)
+                    refuted.append((used & mask, used & ~mask))
         patterns = [(s + t, xs + ys) for s, xs in patterns for t, ys in feasible]
     joined = []
     for s, coords in patterns:
@@ -381,6 +405,7 @@ def weyl_witness(
     s,
     nd_family: NDFamily | None = None,
     solved: dict[tuple[int, ...], tuple[Fraction, ...]] | None = None,
+    pieces: list[tuple[int, ...]] | None = None,
 ) -> DivisorClass:
     """The divisor D = H + sum(a_i C_i) with D . C_j = -1 for all j in s.
 
@@ -389,10 +414,11 @@ def weyl_witness(
     D meets every curve outside s positively.  The restricted Gram is block
     diagonal over the connected pieces of s, so each piece is solved on its
     own; ``solved`` maps pieces to their solutions, to be filled and reused
-    across calls.  With ``nd_family`` (the model's negative definite
-    subsets) s is checked by membership instead of a definiteness test; the
-    same holds for the criteria and ``classify_ade``.  Both checks below run
-    on every call, whatever was reused.
+    across calls, and ``pieces`` is the split of s when the caller has it.
+    With ``nd_family`` (the model's negative definite subsets) s is checked
+    by membership instead of a definiteness test; the same holds for the
+    criteria and ``classify_ade``.  Both checks below run on every call,
+    whatever was reused.
     """
     s = tuple(sorted(set(s)))
     if not s:
@@ -402,7 +428,9 @@ def weyl_witness(
         solved = {}
     h = model.ample_pairings(m)
     a = [Fraction(0)] * model.curve_count(m)
-    for piece in _curve_components(m, s):
+    if pieces is None:
+        pieces = _curve_components(m, s)
+    for piece in pieces:
         sol = solved.get(piece)
         if sol is None:
             sol = linalg.solve_linear(
@@ -578,10 +606,15 @@ def _classify_component(nodes, adj) -> str:
     raise UnrecognizedDiagram("arm lengths %r" % (arms,))
 
 
-def classify_ade(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> tuple[str, ...]:
+def classify_ade(
+    m: SurfaceModel,
+    s,
+    nd_family: NDFamily | None = None,
+    pieces: list[tuple[int, ...]] | None = None,
+) -> tuple[str, ...]:
     """Split a negative definite support into its connected pieces and name
     each simply-laced Dynkin diagram.  Pieces are reported in order of their
-    smallest curve index."""
+    smallest curve index; ``pieces`` is that split when the caller has it."""
     s = tuple(sorted(set(s)))
     _require_negative_definite(m, s, nd_family)
     g = model.curve_gram(m)
@@ -590,7 +623,7 @@ def classify_ade(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> tuple
             raise UnrecognizedDiagram("pairing %s within a negative definite set" % g[i][j])
     return tuple(
         _classify_component(piece, {v: {w for w in piece if w != v and g[v][w]} for v in piece})
-        for piece in _curve_components(m, s)
+        for piece in (_curve_components(m, s) if pieces is None else pieces)
     )
 
 

@@ -253,10 +253,13 @@ def inverse_nonpositive_check(s: Mat) -> bool:
 SENSE_LT = "<"
 SENSE_GT = ">"
 
-# internal row form: (coeffs: int tuple, const: int, strict: bool, origins: int)
-# meaning  coeffs . x + const  >= 0  (or > 0 when strict); origins is a bitmask
-# over the system's input rows, the ones the row was combined from
-_Row = tuple[tuple[int, ...], int, bool, int]
+# internal row form: (coeffs: int tuple, const: int, strict: bool, origins: int,
+# derivation) meaning  coeffs . x + const  >= 0  (or > 0 when strict).  origins
+# is a bitmask over the system's input rows for Chernikov's rule; it is not a
+# derivation (see _dedupe).  The derivation says how the row was built: an int
+# for an input row, i for strict row i and ~v for the nonnegativity row of
+# variable v, or (lam, mu, g, low, up) for the row (lam * low + mu * up) / g
+_Row = tuple[tuple[int, ...], int, bool, int, object]
 
 
 @dataclass(frozen=True)
@@ -267,12 +270,17 @@ class SignConstraint:
     constant: Fraction
     sense: str
 
+    @property
+    def sign(self) -> int:
+        """1 for ``>`` and -1 for ``<``: the row times its sign is ``> 0``."""
+        return 1 if self.sense == SENSE_GT else -1
+
     @cached_property
     def integer_row(self) -> tuple[tuple[int, ...], int, bool]:
         """The constraint as a primitive integer row ``a . x + c > 0``
         (negated for ``<``), computed once per row and checked to be a
         positive multiple of the rational row."""
-        sign = 1 if self.sense == SENSE_GT else -1
+        sign = self.sign
         den = math.lcm(self.constant.denominator, *(c.denominator for c in self.coeffs))
         ints = [sign * int(c * den) for c in self.coeffs]
         ci = sign * int(self.constant * den)
@@ -302,35 +310,61 @@ class LinearSystemFeasibility:
 
 
 @dataclass(frozen=True)
+class InfeasibilityCertificate:
+    """Nonnegative integer multipliers that prove a sign system empty
+    (Motzkin's transposition theorem).  With strict row i oriented as
+    ``sign_i * (coeffs . x + constant) > 0`` (``sign_i = -1`` for ``<``),
+    the sum of ``strict[i]`` times row i and ``nonneg[v]`` times
+    ``x_v >= 0`` has all coefficients zero and a constant that is negative,
+    or zero with some ``strict[i] > 0``: no point satisfies both sides."""
+
+    strict: tuple[int, ...]  # one per strict row
+    nonneg: tuple[int, ...]  # one per variable, zero off the nonneg variables
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The strict rows with a positive multiplier; every system that
+        contains these rows (and the same nonnegativity rows) is empty."""
+        return tuple(i for i, y in enumerate(self.strict) if y)
+
+
+@dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     sample: Vec | None
+    certificate: InfeasibilityCertificate | None = None
 
 
 class _Infeasible(Exception):
-    pass
+    """Raised with the derivation of a row 0 . x + c > 0 (or >= 0) that no
+    point satisfies."""
+
+    def __init__(self, derivation) -> None:
+        super().__init__()
+        self.derivation = derivation
 
 
 def _dedupe(rows: Iterable[_Row]) -> list[_Row]:
     # Keep only the strongest row per direction: smallest constant, strict
-    # beating non-strict at equal constant.  Its origins become the
-    # intersection of the origins of every row of that direction, which keeps
-    # Chernikov's rule (see _combine) sound: by induction over the stages,
-    # every row that the rule alone would keep is implied by a kept row whose
-    # origins are a subset of its own.  Combining two such rows gives the
-    # same direction, a constant at least as strong and no more origins, so
-    # the rule never drops it.  Keeping the strongest row's own origins
-    # instead can drop the only row that carries a bound.
-    best: dict[tuple[int, ...], tuple[int, bool, int]] = {}
-    for a, c, strict, origins in rows:
+    # beating non-strict at equal constant, with the derivation of that row.
+    # Its origins become the intersection of the origins of every row of that
+    # direction, which keeps Chernikov's rule (see _combine) sound: by
+    # induction over the stages, every row that the rule alone would keep is
+    # implied by a kept row whose origins are a subset of its own.  Combining
+    # two such rows gives the same direction, a constant at least as strong
+    # and no more origins, so the rule never drops it.  Keeping the strongest
+    # row's own origins instead can drop the only row that carries a bound.
+    # The intersected mask is therefore no record of how the row was built.
+    best: dict[tuple[int, ...], tuple[int, bool, int, object]] = {}
+    for a, c, strict, origins, derivation in rows:
         cur = best.get(a)
         if cur is None:
-            best[a] = (c, strict, origins)
+            best[a] = (c, strict, origins, derivation)
         elif (c, not strict) < (cur[0], not cur[1]):
-            best[a] = (c, strict, origins & cur[2])
+            best[a] = (c, strict, origins & cur[2], derivation)
         else:
-            best[a] = (cur[0], cur[1], origins & cur[2])
-    return [(a, c, strict, origins) for a, (c, strict, origins) in best.items()]
+            best[a] = (cur[0], cur[1], origins & cur[2], cur[3])
+    return [(a, *kept) for a, kept in best.items()]
 
 
 def _combine(low: _Row, up: _Row, v: int, limit: int) -> _Row | None:
@@ -340,21 +374,92 @@ def _combine(low: _Row, up: _Row, v: int, limit: int) -> _Row | None:
     origins = low[3] | up[3]
     if origins.bit_count() > limit:
         return None
-    la, lc, ls, _ = low
-    ua, uc, us, _ = up
+    la, lc, ls, _, _ = low
+    ua, uc, us, _, _ = up
     lam, mu = -ua[v], la[v]  # both > 0
     coeffs = tuple(lam * x + mu * y for x, y in zip(la, ua))
     const = lam * lc + mu * uc
     strict = ls or us
-    g = math.gcd(const, *(abs(x) for x in coeffs))
+    g = math.gcd(const, *(abs(x) for x in coeffs)) or 1
     if g > 1:
         coeffs = tuple(x // g for x in coeffs)
         const //= g
+    derivation = (lam, mu, g, low, up)
     if all(x == 0 for x in coeffs):
         if const > 0 or (const == 0 and not strict):
             return None
-        raise _Infeasible
-    return (coeffs, const, strict, origins)
+        raise _Infeasible(derivation)
+    return (coeffs, const, strict, origins, derivation)
+
+
+def _certificate(problem: LinearSystemFeasibility, derivation) -> InfeasibilityCertificate:
+    """Walk a contradicting row's derivation back to multipliers over the
+    input rows, then check them exactly against the rational rows."""
+    rows = problem.strict_rows
+    n = problem.num_vars
+    memo: dict[int, dict[int, Fraction]] = {}
+
+    def expand(d) -> dict[int, Fraction]:
+        # multipliers over the input rows, keyed as in the derivations,
+        # whose combination of the integer input rows is the row d built
+        if isinstance(d, int):
+            return {d: Fraction(1)}
+        y = memo.get(id(d))
+        if y is None:
+            lam, mu, g, low, up = d
+            y = {}
+            for weight, parent in ((Fraction(lam, g), low), (Fraction(mu, g), up)):
+                for key, x in expand(parent[4]).items():
+                    y[key] = y.get(key, 0) + weight * x
+            memo[id(d)] = y
+        return y
+
+    y = expand(derivation)
+    strict = [Fraction(0)] * len(rows)
+    nonneg = [Fraction(0)] * n
+    for key, x in y.items():
+        if key >= 0:
+            # integer_row is k times the oriented rational row; read k at
+            # the row's first nonzero entry (a wrong k fails the check)
+            row = rows[key]
+            a, c, _ = row.integer_row
+            pairs = zip((*a, c), (*row.coeffs, row.constant))
+            strict[key] = x * next((p / (row.sign * q) for p, q in pairs if q), 1)
+        else:
+            nonneg[~key] = x
+    den = math.lcm(*(x.denominator for x in (*strict, *nonneg)))
+    cert = InfeasibilityCertificate(
+        tuple(int(x * den) for x in strict), tuple(int(x * den) for x in nonneg)
+    )
+    _check_certificate(problem, cert)
+    return cert
+
+
+def _check_certificate(problem: LinearSystemFeasibility, cert: InfeasibilityCertificate) -> None:
+    """Sum the certificate's multiples of the rational rows, in exact
+    arithmetic, and require the sum to be a row ``0 . x + c > 0`` that no
+    point satisfies: ``c < 0``, or ``c == 0`` with a strict row used."""
+    n = problem.num_vars
+    rows = problem.strict_rows
+    require(
+        len(cert.strict) == len(rows)
+        and len(cert.nonneg) == n
+        and all(y >= 0 for y in (*cert.strict, *cert.nonneg))
+        and all(cert.nonneg[v] == 0 for v in range(n) if v not in problem.nonneg_vars),
+        "fm_feasible: infeasibility certificate has a wrong multiplier",
+    )
+    coeffs = [Fraction(y) for y in cert.nonneg]
+    const = Fraction(0)
+    for y, row in zip(cert.strict, rows):
+        if y:
+            y *= row.sign
+            for j, x in enumerate(row.coeffs):
+                coeffs[j] += y * x
+            const += y * row.constant
+    require(
+        not any(coeffs) and (const < 0 or (const == 0 and any(cert.strict))),
+        "fm_feasible: infeasibility certificate does not sum to a contradiction",
+    )
 
 
 def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
@@ -368,7 +473,9 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     is normalized once.  When the system is feasible, a rational sample point is
     reconstructed by back-substituting interval midpoints in integers over a
     common denominator, then checked exactly against every original row and
-    nonnegativity bound.
+    nonnegativity bound.  When it is infeasible, the contradicting row's
+    derivation is walked back to an InfeasibilityCertificate over the input
+    rows, checked exactly against the rational rows in the same way.
     """
     n = problem.num_vars
     for row in problem.strict_rows:
@@ -381,14 +488,14 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
 
     try:
         rows: list[_Row] = []
-        for row in problem.strict_rows:
+        for i, row in enumerate(problem.strict_rows):
             a, c, strict = row.integer_row
             if any(a):
-                rows.append((a, c, strict, 1 << len(rows)))
+                rows.append((a, c, strict, 1 << len(rows), i))
             elif c <= 0:
-                raise _Infeasible
+                raise _Infeasible(i)
         for v in sorted(problem.nonneg_vars):
-            rows.append(((0,) * v + (1,) + (0,) * (n - v - 1), 0, False, 1 << len(rows)))
+            rows.append(((0,) * v + (1,) + (0,) * (n - v - 1), 0, False, 1 << len(rows), ~v))
         rows = _dedupe(rows)
 
         stages: list[tuple[int, list[_Row], list[_Row]]] = []
@@ -418,8 +525,8 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                         new.append(c)
             rows = _dedupe(new)
             remaining.discard(v)
-    except _Infeasible:
-        return FeasibilityResult(False, None)
+    except _Infeasible as contradiction:
+        return FeasibilityResult(False, None, _certificate(problem, contradiction.derivation))
 
     # back-substitution in integers: the sample is num / den with den > 0,
     # and a variable not yet assigned has numerator 0
@@ -429,13 +536,13 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
         # bounds on den * x_v, each as (p, q, strict) meaning p / q with q > 0
         lo: tuple[int, int, bool] | None = None
         hi: tuple[int, int, bool] | None = None
-        for a, c, strict, _ in lowers:
+        for a, c, strict, _, _ in lowers:
             p, q = -(c * den + sum(map(mul, a, num))), a[v]
             if lo is None or p * lo[1] > lo[0] * q:
                 lo = (p, q, strict)
             elif p * lo[1] == lo[0] * q and strict:
                 lo = (p, q, True)
-        for a, c, strict, _ in uppers:
+        for a, c, strict, _, _ in uppers:
             p, q = c * den + sum(map(mul, a, num)), -a[v]
             if hi is None or p * hi[1] < hi[0] * q:
                 hi = (p, q, strict)

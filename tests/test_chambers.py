@@ -411,6 +411,19 @@ def test_zariski_atlas_tests_definiteness_only_in_the_search(monkeypatch):
     assert len(calls) == 2 * in_search
 
 
+def test_zariski_atlas_splits_each_support_once(monkeypatch):
+    """The witness and the A-D-E labels of a record share one split of its
+    support into connected pieces; the search splits the curves once more."""
+    m = gallery.random_configuration(0, 8, 0.2)
+    calls = []
+    original = chambers._curve_components
+    monkeypatch.setattr(
+        chambers, "_curve_components", lambda m, s: calls.append(s) or original(m, s)
+    )
+    records = enumerate_zariski_chambers(m).records
+    assert len(calls) == len(records) + 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_family_membership_matches_the_guarded_criteria(seed):
     m = gallery.random_configuration(seed, 6, 0.4)
@@ -441,6 +454,75 @@ def test_weyl_atlas_witnesses_match_fresh_sign_systems():
             if res.feasible:
                 assert witnesses.pop(s) == model.divisor_from_ample_and_curves(m, 1, res.sample)
     assert not witnesses
+
+
+# the two dense graphs that catch an unsound Chernikov mask, and n9-g03,
+# whose 512 patterns made the largest FM systems; each is a single block
+@pytest.mark.parametrize(
+    "seed,n,density",
+    [(9, 6, 0.5), (4, 7, 0.5), (3, 9, 0.2)],
+    ids=["dense 9/6", "dense 4/7", "n9-g03"],
+)
+def test_weyl_atlas_skips_only_patterns_a_certificate_refutes(monkeypatch, seed, n, density):
+    """A pattern whose system contains the rows of an earlier pattern's
+    infeasibility certificate is skipped.  Every skipped pattern is
+    infeasible by a direct call, and fewer than 2^n systems are solved."""
+    m = gallery.random_configuration(seed, n, density)
+    assert chambers._weyl_blocks(chambers._weyl_rows(m)) == (tuple(range(n)),)
+    solved = []
+    real = linalg.fm_feasible
+    monkeypatch.setattr(linalg, "fm_feasible", lambda p: solved.append(p) or real(p))
+    supports = {r.support for r in enumerate_weyl_chambers(m).records}
+    patterns = [tuple(j for j, row in enumerate(p.strict_rows) if row.sense == "<")
+                for p in solved]
+    assert len(set(patterns)) == len(patterns) < 2 ** n
+    skipped = 0
+    for size in range(n + 1):
+        for s in combinations(range(n), size):
+            if s not in patterns:
+                skipped += 1
+                assert s not in supports
+                assert not real(chambers.weyl_sign_system(m, s)).feasible, s
+    assert skipped == 2 ** n - len(patterns) > 0
+
+
+def test_weyl_atlas_reuses_a_certificate_only_where_its_rows_recur():
+    """Curves that meet negatively cannot occur on a K3 surface, and this
+    sign system shows why the reuse rule needs both sides of a certificate:
+    {0, 2} is infeasible while {0, 1, 2} is feasible, because the refutation
+    of {0, 2} uses the row that puts curve 1 outside."""
+    m = model.configuration_model(
+        [[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]], ["c0", "c1", "c2"], [3, 2, 3], 2
+    )
+    records = enumerate_weyl_chambers(m).records
+    assert records == weyl_records_exhaustive(m)
+    supports = [r.support for r in records]
+    assert (0, 1, 2) in supports and (0, 2) not in supports
+
+
+def test_twelve_curve_model_finishes_under_a_memory_cap():
+    """random_configuration(0, 12, 0.2) once ran out of memory under a
+    512 MB cap in the Weyl atlas.  The model is not hyperbolic, so it is
+    checked here, at library level: both atlases in a child process under
+    that cap and a time bound, with equal counts and families."""
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from k3chambers import chambers, gallery
+        m = gallery.random_configuration(0, 12, 0.2)
+        z = chambers.enumerate_zariski_chambers(m)
+        w = chambers.enumerate_weyl_chambers(m)
+        if not len(z.records) == len(w.records) == 684:
+            sys.exit("counts %d and %d" % (len(z.records), len(w.records)))
+        if not chambers.verify_bijection(z, w).equal:
+            sys.exit("the families differ")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_weyl_enumeration_refuses_too_many_curves():

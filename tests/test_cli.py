@@ -237,6 +237,25 @@ def test_fm_invariant_exits_4(capsys, quartic_file, monkeypatch):
     assert json.loads(out)["error"]["code"] == "internal_invariant"
 
 
+def test_corrupted_infeasibility_certificate_exits_4(capsys, quartic_file, monkeypatch):
+    """An infeasible sign pattern whose certificate fails its exact check is
+    a typed error, not a dropped chamber.  Here each contradiction names a
+    wrong multiplier of its lower parent row."""
+    real = linalg._combine
+
+    def corrupted(low, up, v, limit):
+        try:
+            return real(low, up, v, limit)
+        except linalg._Infeasible as contradiction:
+            lam, mu, g, low, up = contradiction.derivation
+            raise linalg._Infeasible((lam + 1, mu, g, low, up))
+
+    monkeypatch.setattr(linalg, "_combine", corrupted)
+    code, out, _ = run_cli(capsys, "chambers", quartic_file)
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
 def test_wrong_piece_solve_in_the_atlas_exits_4(capsys, tmp_path, monkeypatch):
     """The atlas solves each connected piece once and reuses it; a wrong
     piece solution is still caught by the checks on the record."""

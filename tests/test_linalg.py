@@ -3,7 +3,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3chambers import linalg
 from k3chambers.errors import (
@@ -243,7 +243,9 @@ def test_fm_edge_cases_keep_their_verdicts_and_samples(problem, sample):
     assert res.feasible == (sample is not None)
     assert res.sample == (None if sample is None else linalg.vec(sample))
     if res.feasible:
-        assert _satisfies(problem, res.sample)
+        assert _satisfies(problem, res.sample) and res.certificate is None
+    else:
+        assert _refutes(problem, res.certificate)
 
 
 def test_fm_rejects_undeclared_variables():
@@ -260,6 +262,26 @@ def _satisfies(problem, point):
         if row.sense == ">" and not value > 0:
             return False
     return all(point[v] >= 0 for v in problem.nonneg_vars)
+
+
+def _refutes(problem, cert):
+    """Whether the certificate's multiples of the rows, each oriented as
+    "> 0" and summed here in Fractions, give all-zero coefficients and a
+    constant c < 0, or c == 0 with some strict row used."""
+    n = problem.num_vars
+    if len(cert.strict) != len(problem.strict_rows) or len(cert.nonneg) != n:
+        return False
+    if any(y < 0 for y in (*cert.strict, *cert.nonneg)):
+        return False
+    if any(cert.nonneg[v] for v in range(n) if v not in problem.nonneg_vars):
+        return False
+    total = [Fraction(y) for y in cert.nonneg] + [Fraction(0)]
+    for y, row in zip(cert.strict, problem.strict_rows):
+        sign = 1 if row.sense == ">" else -1
+        for j, x in enumerate((*row.coeffs, row.constant)):
+            total[j] += sign * y * x
+    const = total.pop()
+    return not any(total) and (const < 0 or (const == 0 and any(cert.strict)))
 
 
 def _grid_sign_patterns(gram, h, den=8, top=5):
@@ -393,12 +415,14 @@ def test_fm_feasible_agrees_with_sympy_simplex(problem):
     assert res.feasible == _simplex_says_feasible(problem)
     if res.feasible:
         assert _satisfies(problem, res.sample)
+    else:
+        assert _refutes(problem, res.certificate)
 
 
 # Weyl-shaped systems: one strict row per variable, as a Weyl sign system
 # has one per curve, and nonnegativity on every variable.  These are the
-# systems where Chernikov's rule prunes rows, and an infeasible verdict
-# carries no certificate, so the verdict is checked against the oracle.
+# systems where Chernikov's rule prunes rows, so the verdict is checked
+# against the oracle as well as by its own sample or certificate.
 _weyl_entries = st.one_of(
     st.integers(min_value=-2, max_value=2).map(Fraction),
     st.fractions(min_value=-2, max_value=2, max_denominator=3),
@@ -431,6 +455,56 @@ def test_fm_feasible_agrees_with_sympy_simplex_on_weyl_shaped_systems(problem):
     assert res.feasible == _simplex_says_feasible(problem)
     if res.feasible:
         assert _satisfies(problem, res.sample)
+    else:
+        assert _refutes(problem, res.certificate)
+
+
+@settings(max_examples=120)
+@given(st.one_of(_sign_systems(), _weyl_shaped_systems()))
+@example(LinearSystemFeasibility(0, (_row([], 0, ">"),), frozenset()))
+@example(LinearSystemFeasibility(0, (_row([], 1, ">"), _row([], -1, "<")), frozenset()))
+@example(LinearSystemFeasibility(2, (_row([1, 1], 1, ">"), _row([0, 0], 0, "<")), frozenset()))
+@example(LinearSystemFeasibility(1, (_row([0], "1/3", "<"),), frozenset({0})))
+@example(LinearSystemFeasibility(1, (_row([0], "-1/3", ">"),), frozenset()))
+@example(LinearSystemFeasibility(1, (_row([1], 0, "<"),), frozenset({0})))
+def test_every_infeasible_verdict_carries_a_certificate(problem):
+    """No oracle needed: the certificate, summed in Fractions here, is a
+    proof that the system is empty, and a feasible verdict carries none."""
+    res = fm_feasible(problem)
+    if res.feasible:
+        assert res.certificate is None and _satisfies(problem, res.sample)
+    else:
+        assert res.sample is None and _refutes(problem, res.certificate)
+        # the certificate's rows alone already make an empty system
+        kept = tuple(problem.strict_rows[i] for i in res.certificate.support)
+        sub = LinearSystemFeasibility(problem.num_vars, kept, problem.nonneg_vars)
+        assert not fm_feasible(sub).feasible
+
+
+def test_certificate_uses_nonnegativity_rows_by_variable():
+    # x1 < 0 with x1 >= 0: the nonnegativity row of x1 closes the proof
+    problem = LinearSystemFeasibility(3, (_row([0, 1, 0], 0, "<"),), frozenset({0, 1}))
+    res = fm_feasible(problem)
+    assert not res.feasible
+    assert res.certificate.strict == (1,) and res.certificate.nonneg == (0, 1, 0)
+    assert res.certificate.support == (0,)
+
+
+def test_corrupted_derivation_trips_the_certificate_check(monkeypatch):
+    """The certificate is checked against the rational rows: a derivation
+    that names a wrong multiplier is caught, not trusted."""
+    real = linalg._combine
+
+    def corrupted(low, up, v, limit):
+        try:
+            return real(low, up, v, limit)
+        except linalg._Infeasible as contradiction:
+            lam, mu, g, low, up = contradiction.derivation
+            raise linalg._Infeasible((lam + 1, mu, g, low, up))
+
+    monkeypatch.setattr(linalg, "_combine", corrupted)
+    with pytest.raises(InvariantViolated, match="certificate"):
+        fm_feasible(quartic_sign_problem(("<", ">", "<")))
 
 
 def test_chernikov_rule_prunes_weyl_shaped_systems(monkeypatch):
@@ -459,12 +533,12 @@ def test_chernikov_rule_prunes_weyl_shaped_systems(monkeypatch):
 
 def test_dedupe_keeps_the_strongest_row_with_the_common_origins():
     a = (1, -1)
-    rows = [(a, 3, True, 0b0011), ((0, 1), 0, False, 0b0100), (a, 1, False, 0b0110),
-            (a, 1, True, 0b1010)]
-    assert linalg._dedupe(rows) == [(a, 1, True, 0b0010), ((0, 1), 0, False, 0b0100)]
+    rows = [(a, 3, True, 0b0011, 0), ((0, 1), 0, False, 0b0100, 1), (a, 1, False, 0b0110, 2),
+            (a, 1, True, 0b1010, 3)]
+    assert linalg._dedupe(rows) == [(a, 1, True, 0b0010, 3), ((0, 1), 0, False, 0b0100, 1)]
 
 
 def test_combine_skips_rows_with_too_many_origins():
-    low, up = ((1, 2), 0, True, 0b011), ((-1, 1), 1, False, 0b100)
-    assert linalg._combine(low, up, 0, 3) == ((0, 3), 1, True, 0b111)
+    low, up = ((1, 2), 0, True, 0b011, 0), ((-1, 1), 1, False, 0b100, ~0)
+    assert linalg._combine(low, up, 0, 3) == ((0, 3), 1, True, 0b111, (1, 1, 1, low, up))
     assert linalg._combine(low, up, 0, 2) is None
