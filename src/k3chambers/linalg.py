@@ -316,7 +316,7 @@ class InfeasibilityCertificate:
     ``sign_i * (coeffs . x + constant) > 0`` (``sign_i = -1`` for ``<``),
     the sum of ``strict[i]`` times row i and ``nonneg[v]`` times
     ``x_v >= 0`` has all coefficients zero and a constant that is negative,
-    or zero with some ``strict[i] > 0``: no point satisfies both sides."""
+    or zero with some ``strict[i] > 0``, so no point satisfies the system."""
 
     strict: tuple[int, ...]  # one per strict row
     nonneg: tuple[int, ...]  # one per variable, zero off the nonneg variables
