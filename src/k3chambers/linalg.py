@@ -1,10 +1,13 @@
 """Exact rational linear algebra kernels.
 
-Everything here works over ``fractions.Fraction``; no floating point is used
-anywhere.  Matrices are dense tuples of tuples, vectors are tuples.  The
-module provides the solving, definiteness, inertia and inverse-sign kernels
-plus an exact Fourier-Motzkin feasibility test for systems of strict linear
-sign constraints.
+No floating point is used anywhere: the API speaks ``fractions.Fraction``
+and the kernels work in integers.  Matrices are dense tuples of tuples,
+vectors are tuples.  One fraction-free (Bareiss) elimination, ``_eliminate``,
+gives the solve, determinant, negative definiteness test, adjugate, inverse
+and rank.  ``signature`` keeps its own symmetric elimination, whose step at a
+zero diagonal is a congruence, not an elimination step.  The module ends with
+an exact Fourier-Motzkin feasibility test for systems of strict linear sign
+constraints.
 """
 
 from __future__ import annotations
@@ -84,80 +87,106 @@ def over_common_denominator(v: Iterable[Fraction]) -> tuple[tuple[int, ...], int
     return tuple(x.numerator * (den // x.denominator) for x in v), den
 
 
-def solve_linear(s: Mat, b: Sequence[Fraction]) -> Vec:
-    """Solve ``s @ x = b`` exactly by Gaussian elimination.
+def _eliminate(
+    rows: Sequence[Sequence[Fraction]], n: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the first
+    ``n`` columns of rational ``rows``, scaled to integers over one common
+    denominator ``q``.  The pivot is the first nonzero entry at or below
+    the next pivot row; a column without one is skipped, so the pivot count
+    is the rank.  Every other row r becomes ``(p * r - r[col] * pivot_row)
+    / prev`` for the previous pivot ``prev``; the division is exact because
+    r is rescaled at every step, also when r[col] is 0.  Without a swap,
+    pivot k is the leading (k+1)-minor of ``q * rows``.  For n rows of rank
+    n, the first n columns end as the last pivot times the identity, and
+    that pivot is ``(-1)^swaps q^n`` times their determinant.
 
-    Raises SingularMatrix when det(s) = 0.  The empty system has the empty
-    solution.
+    Returns the integer rows, the pivots, the swap count and ``q``.
     """
-    n = len(s)
-    if any(len(row) != n for row in s):
+    width = len(rows[0]) if rows else 0
+    ints, q = over_common_denominator(x for row in rows for x in row)
+    a = [list(ints[i * width:(i + 1) * width]) for i in range(len(rows))]
+    pivots: list[int] = []
+    swaps = 0
+    prev = 1
+    for col in range(n):
+        k = piv = len(pivots)
+        while piv < len(a) and not a[piv][col]:
+            piv += 1
+        if piv == len(a):
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            swaps += 1
+        top = a[k]
+        p = top[col]
+        for r, row in enumerate(a):
+            if r != k:
+                f = row[col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(p)
+        prev = p
+    return a, pivots, swaps, q
+
+
+def _require_square(s: Mat) -> int:
+    if any(len(row) != len(s) for row in s):
         raise ValueError("matrix is not square")
+    return len(s)
+
+
+def solve_linear(s: Mat, b: Sequence[Fraction]) -> Vec:
+    """Solve ``s @ x = b`` exactly by eliminating ``[s | b]``.  Raises
+    SingularMatrix when det(s) = 0; the empty system has the empty solution.
+    """
+    n = _require_square(s)
     if len(b) != n:
         raise ValueError("right-hand side dimension mismatch")
-    if n == 0:
-        return ()
-    a = [list(row) + [rhs] for row, rhs in zip(s, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("zero pivot column %d" % col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col] / p
-            if f:
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return tuple(a[r][n] / a[r][r] for r in range(n))
+    a, pivots, _, _ = _eliminate([(*row, rhs) for row, rhs in zip(s, b)], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(a))
 
 
 def determinant(s: Mat) -> Fraction:
-    """Exact determinant via elimination with row pivoting."""
-    n = len(s)
-    if any(len(row) != n for row in s):
-        raise ValueError("matrix is not square")
-    a = [list(row) for row in s]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        p = a[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+    """Exact determinant: ``(-1)^swaps * last pivot / q^n``."""
+    n = _require_square(s)
+    _, pivots, swaps, q = _eliminate(s, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * (pivots[-1] if n else 1), q**n)
 
 
 def is_negative_definite(s: Mat) -> bool:
-    """Sylvester test: all pivots of symmetric elimination are negative.
-
-    Equivalent to (-1)^k det(leading k-minor) > 0 for every k, computed
-    exactly.  The 0x0 matrix is negative definite (vacuously).
+    """Sylvester test: every leading k-minor has sign (-1)^k.  With no row
+    swap the pivots are these minors (times q^k > 0), and a swap means a
+    zero minor.  The 0x0 matrix is negative definite (vacuously).
     """
     _require_symmetric(s)
-    n = len(s)
-    a = [list(row) for row in s]
-    for k in range(n):
-        p = a[k][k]
-        if p >= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return True
+    _, pivots, swaps, _ = _eliminate(s, len(s))
+    return len(pivots) == len(s) and not swaps and all(
+        (-1) ** k * p < 0 for k, p in enumerate(pivots)
+    )
+
+
+def adjugate(s: Mat) -> tuple[Fraction, Mat]:
+    """``(det(s), adj(s))`` from one elimination of ``[s | I]``, which ends
+    at ``(-1)^swaps q^n (det(s) I | adj(s))``.  Raises SingularMatrix when
+    det(s) = 0."""
+    n = _require_square(s)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, pivots, swaps, q = _eliminate([(*r, *e) for r, e in zip(s, eye)], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    scale = Fraction((-1) ** swaps, q**n)
+    return (pivots[-1] if n else 1) * scale, tuple(
+        tuple(x * scale for x in row[n:]) for row in a
+    )
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix of any shape."""
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 def signature(s: Mat) -> tuple[int, int, int]:
@@ -202,26 +231,10 @@ def signature(s: Mat) -> tuple[int, int, int]:
 
 
 def inverse(s: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(s)
-    if any(len(row) != n for row in s):
-        raise ValueError("matrix is not square")
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(s)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[r][n:]) for r in range(n))
+    """Exact inverse: the adjugate over the determinant.  Raises
+    SingularMatrix when det(s) = 0."""
+    det, adj = adjugate(s)
+    return tuple(tuple(x / det for x in row) for row in adj)
 
 
 def inverse_nonpositive_check(s: Mat) -> bool:

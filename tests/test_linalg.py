@@ -163,6 +163,170 @@ def test_inverse_check_on_random_ade_grams(seed):
 
 
 # ---------------------------------------------------------------------------
+# the elimination kernel: pinned cases, and sympy as an independent oracle
+# ---------------------------------------------------------------------------
+
+_E8_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)}
+NEG_E8 = linalg.mat(
+    [[-2 if i == j else int((min(i, j), max(i, j)) in _E8_EDGES) for j in range(8)]
+     for i in range(8)]
+)
+THIRDS = linalg.mat([["-1/2", "1/3", 0], ["1/3", "-1/2", "1/3"], [0, "1/3", "-1/2"]])
+
+
+def test_kernel_swap_at_the_first_step():
+    hyperbolic = linalg.mat([[0, 1], [1, 0]])
+    _, pivots, swaps, q = linalg._eliminate(hyperbolic, 2)
+    assert (pivots, swaps, q) == ([1, 1], 1, 1)
+    assert linalg.determinant(hyperbolic) == -1
+    assert not is_negative_definite(hyperbolic)
+    assert linalg.adjugate(hyperbolic) == (-1, linalg.mat([[0, -1], [-1, 0]]))
+    assert linalg.inverse(hyperbolic) == hyperbolic
+    assert solve_linear(hyperbolic, linalg.vec([3, 4])) == linalg.vec([4, 3])
+
+
+def test_kernel_swap_hides_alternating_pivots():
+    # after the swap the pivots read -1, 1, yet det = -1: not negative definite
+    s = linalg.mat([[0, -1], [-1, -2]])
+    assert linalg._eliminate(s, 2)[1:3] == ([-1, 1], 1)
+    assert linalg.determinant(s) == -1
+    assert not is_negative_definite(s)
+    assert signature(s) == (1, 1, 0)
+
+
+def test_kernel_negated_e8():
+    assert is_negative_definite(NEG_E8)
+    assert linalg.determinant(NEG_E8) == 1
+    det, adj = linalg.adjugate(NEG_E8)
+    assert det == 1 and adj == linalg.inverse(NEG_E8)
+    assert all(x.denominator == 1 and x <= -1 for row in adj for x in row)
+    assert linalg.mat_vec(NEG_E8, solve_linear(NEG_E8, adj[7])) == adj[7]
+    assert linalg.rank(NEG_E8) == 8
+
+
+def test_kernel_rank_skips_a_zero_leading_column():
+    corners = linalg.mat([[0, 1, 0, 2], [0, 2, 1, 4], [0, 1, 1, 2]])
+    assert linalg.rank(corners) == 2
+    assert linalg.rank(linalg.mat([[0, 0], [0, 0]])) == 0
+    assert linalg.rank(()) == 0
+
+
+def test_kernel_halves_and_thirds():
+    _, pivots, swaps, q = linalg._eliminate(THIRDS, 3)
+    assert (pivots, swaps, q) == ([-3, 5, -3], 0, 6)
+    assert is_negative_definite(THIRDS)
+    assert linalg.determinant(THIRDS) == Fraction(-1, 72)
+    assert linalg.adjugate(THIRDS) == (Fraction(-1, 72), linalg.mat(
+        [["5/36", "1/6", "1/9"], ["1/6", "1/4", "1/6"], ["1/9", "1/6", "5/36"]]))
+    assert linalg.inverse(THIRDS) == linalg.mat([[-10, -12, -8], [-12, -18, -12], [-8, -12, -10]])
+    assert solve_linear(THIRDS, linalg.vec([1, "1/2", 0])) == linalg.vec([-16, -21, -14])
+    assert linalg.determinant(linalg.mat([["1/2", "1/3"], ["1/3", "1/2"]])) == Fraction(5, 36)
+
+
+def test_kernel_rejects_non_square():
+    for kernel in (linalg.determinant, linalg.adjugate, linalg.inverse):
+        with pytest.raises(ValueError):
+            kernel(linalg.mat([[1, 2]]))
+
+
+def _sympy_matrix(m, cols):
+    sympy = pytest.importorskip("sympy")
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+    return sympy.Matrix(len(m), cols, entries)
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+mixed_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _rational_matrices(draw, square=False):
+    """Rational r x c matrices with mixed denominators; about half are a
+    product of r x k and k x c factors with k < min(r, c), so singular or
+    rank deficient."""
+    r = draw(st.integers(0, 5))
+    c = r if square else draw(st.integers(0, 5))
+
+    def block(rows, cols):
+        row = st.lists(mixed_rationals, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    if min(r, c) == 0 or draw(st.booleans()):
+        return linalg.mat(block(r, c)), c
+    k = draw(st.integers(0, min(r, c) - 1))
+    left, right = block(r, k), block(k, c)
+    product = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+                for j in range(c)] for i in range(r)]
+    return linalg.mat(product), c
+
+
+@settings(max_examples=150)
+@given(_rational_matrices())
+def test_rank_agrees_with_sympy(data):
+    m, cols = data
+    assert linalg.rank(m) == _sympy_matrix(m, cols).rank()
+
+
+@settings(max_examples=150)
+@given(_rational_matrices(square=True), st.lists(mixed_rationals, min_size=5, max_size=5))
+@example((linalg.mat([[0, 1], [1, 0]]), 2), [Fraction(1)] * 5)
+@example((linalg.mat([["1/2", "1/3"], [3, 2]]), 2), [Fraction(1)] * 5)
+@example(((), 0), [Fraction(1)] * 5)
+def test_det_adjugate_inverse_solve_agree_with_sympy(data, rhs):
+    s, n = data
+    b = tuple(rhs[:n])
+    ref = _sympy_matrix(s, n)
+    det = _fraction(ref.det())
+    assert linalg.determinant(s) == det
+    if det == 0:
+        for kernel in (linalg.adjugate, linalg.inverse):
+            with pytest.raises(SingularMatrix):
+                kernel(s)
+        with pytest.raises(SingularMatrix):
+            solve_linear(s, b)
+        return
+    if n == 0:
+        assert linalg.adjugate(s) == (1, ()) and linalg.inverse(s) == () == solve_linear(s, b)
+        return
+    adj = tuple(tuple(_fraction(x) for x in ref.adjugate().row(i)) for i in range(n))
+    assert linalg.adjugate(s) == (det, adj)
+    assert linalg.inverse(s) == tuple(tuple(x / det for x in row) for row in adj)
+    x = ref.LUsolve(_sympy_matrix([[y] for y in b], 1))
+    assert solve_linear(s, b) == tuple(_fraction(y) for y in x)
+
+
+def _inertia_by_descartes(s):
+    """(positive, negative, zero) eigenvalue counts from the characteristic
+    polynomial: its roots are real for a symmetric matrix, so Descartes'
+    rule of signs counts the positive roots exactly, and those of p(-x)
+    the negative ones."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = _sympy_matrix(s, len(s)).charpoly(sympy.Symbol("x")).all_coeffs()[::-1]
+    zero = next(i for i, c in enumerate(coeffs) if c != 0)
+    coeffs = coeffs[zero:]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    negated = [-c if i % 2 else c for i, c in enumerate(coeffs)]
+    return changes(coeffs), changes(negated), zero
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda n: sym_matrix(n, mixed_rationals)))
+@example(linalg.mat([[0, 1], [1, 0]]))
+@example(linalg.mat([[0, 0], [0, 0]]))
+def test_signature_agrees_with_charpoly_and_descartes(s):
+    inertia = _inertia_by_descartes(s)
+    assert signature(s) == inertia
+    assert is_negative_definite(s) == (inertia[1] == len(s))
+
+
+# ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility
 # ---------------------------------------------------------------------------
 

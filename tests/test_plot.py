@@ -44,6 +44,10 @@ def test_spec_validation(quartic):
     )
     with pytest.raises(DegenerateCorners):
         classify_cross_section(m, CrossSectionSpec(corners=dependent, resolution=4))
+    # rank 2 with a zero leading column, which the rank elimination skips
+    dependent = (full_divisor([0, 1, 0]), full_divisor([0, 0, 1]), full_divisor([0, 1, 1]))
+    with pytest.raises(DegenerateCorners):
+        classify_cross_section(m, CrossSectionSpec(corners=dependent, resolution=4))
 
 
 def test_default_corners_need_three_curves():
