@@ -221,9 +221,7 @@ def _is_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFami
     return frozenset(s) in nd_family
 
 
-def _require_negative_definite(
-    m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None = None
-) -> None:
+def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None) -> None:
     if not _is_negative_definite(m, s, nd_family):
         raise NotNegativeDefinite(
             "curve set %r is not negative definite" % (list(s),)
@@ -232,18 +230,18 @@ def _require_negative_definite(
 
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
     """One chamber per negative definite subset.  The family is computed
-    once and handed to the per-support witness, criteria and A-D-E
-    classification, which then decide negative definiteness by membership.
-    Each support is split into its connected pieces once, for both the
-    witness and the A-D-E labels, and each piece's witness system is solved
-    once for the atlas."""
+    once and handed to the per-support criteria and A-D-E classification,
+    which then decide negative definiteness by membership.  Each support is
+    split into its connected pieces once, for both the witness and the
+    A-D-E labels, and each piece's witness system is solved once for the
+    atlas; that one elimination also finds the piece negative definite."""
     supports = negative_definite_subsets(m)
     family = frozenset(frozenset(s) for s in supports)
     solved: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     records = []
     for s in supports:
         pieces = _curve_components(m, s)
-        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, family, solved, pieces)
+        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, solved, pieces)
         records.append(
             ChamberRecord(
                 support=s,
@@ -403,7 +401,6 @@ def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> B
 def weyl_witness(
     m: SurfaceModel,
     s,
-    nd_family: NDFamily | None = None,
     solved: dict[tuple[int, ...], tuple[Fraction, ...]] | None = None,
     pieces: list[tuple[int, ...]] | None = None,
 ) -> DivisorClass:
@@ -412,18 +409,16 @@ def weyl_witness(
     The solve is against the negative definite restricted Gram; the inverse
     has nonpositive entries, so the coefficients come out nonnegative, and
     D meets every curve outside s positively.  The restricted Gram is block
-    diagonal over the connected pieces of s, so each piece is solved on its
-    own; ``solved`` maps pieces to their solutions, to be filled and reused
-    across calls, and ``pieces`` is the split of s when the caller has it.
-    With ``nd_family`` (the model's negative definite subsets) s is checked
-    by membership instead of a definiteness test; the same holds for the
-    criteria and ``classify_ade``.  Both checks below run on every call,
-    whatever was reused.
+    diagonal over the connected pieces of s, so s is negative definite iff
+    every piece is, and each piece is tested and solved by one elimination
+    of its own; ``solved`` maps pieces to their solutions, to be filled and
+    reused across calls, and ``pieces`` is the split of s when the caller
+    has it.  Both checks below run on every call, whatever was reused.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("witness construction needs a nonempty support")
-    _require_negative_definite(m, s, nd_family)
+    model.check_curve_indices(m, s)
     if solved is None:
         solved = {}
     h = model.ample_pairings(m)
@@ -433,10 +428,12 @@ def weyl_witness(
     for piece in pieces:
         sol = solved.get(piece)
         if sol is None:
-            sol = linalg.solve_linear(
-                model.restrict_gram(m, piece), [Fraction(-1) - h[j] for j in piece]
+            sols = linalg.solve_negative_definite(
+                model.restrict_gram(m, piece), [[Fraction(-1) - h[j] for j in piece]]
             )
-            solved[piece] = sol
+            if sols is None:
+                raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
+            sol = solved[piece] = sols[0]
         for j, x in zip(piece, sol):
             a[j] = x
     require(all(x >= 0 for x in a), "weyl_witness: negative coefficient")
@@ -484,14 +481,16 @@ def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:
     if not s or cprime in s:
         raise ValueError("need a nonempty support and a curve outside it")
     t = tuple(sorted(s + (cprime,)))
-    _require_negative_definite(m, t)
+    h = model.ample_pairings(m)
+    sols = linalg.solve_negative_definite(
+        model.restrict_gram(m, t), [[-h[j] for j in t], [Fraction(-1)] * len(t)]
+    )
+    if sols is None:
+        raise NotNegativeDefinite("curve set %r is not negative definite" % (list(t),))
     g = model.curve_gram(m)
     if all(g[cprime][i] == 0 for i in s):
         raise ValueError("curve %d meets no curve of the support" % cprime)
-    h = model.ample_pairings(m)
-    sub = model.restrict_gram(m, t)
-    x = linalg.solve_linear(sub, [-h[j] for j in t])
-    c = linalg.solve_linear(sub, [Fraction(-1)] * len(t))
+    x, c = sols
     require(
         all(v > 0 for v in x) and all(v > 0 for v in c),
         "weyl_only_witness: nonpositive solution",
@@ -632,6 +631,28 @@ def classify_ade(
 # ---------------------------------------------------------------------------
 
 
+def verdicts_to_document(
+    m: SurfaceModel,
+    wz: InclusionVerdict | None,
+    zw: InteriorInclusionVerdict | None,
+) -> dict:
+    """The two inclusion verdicts as report entries, curves by name; a
+    verdict that is None has no entry."""
+    names = model.curve_names(m)
+    doc: dict = {}
+    if wz is not None:
+        doc["weyl_in_zariski"] = {
+            "holds": wz.holds,
+            "counterexample": None if wz.counterexample is None else names[wz.counterexample],
+        }
+    if zw is not None:
+        doc["zariski_interior_in_weyl"] = {
+            "holds": zw.holds,
+            "pair": None if zw.pair is None else [names[i] for i in zw.pair],
+        }
+    return doc
+
+
 def atlas_to_document(m: SurfaceModel, atlas: ChamberAtlas) -> dict:
     names = model.curve_names(m)
     family = []
@@ -642,18 +663,6 @@ def atlas_to_document(m: SurfaceModel, atlas: ChamberAtlas) -> dict:
         }
         if r.ade is not None:
             entry["ade"] = list(r.ade)
-        if r.weyl_in_zariski is not None:
-            entry["weyl_in_zariski"] = {
-                "holds": r.weyl_in_zariski.holds,
-                "counterexample": None
-                if r.weyl_in_zariski.counterexample is None
-                else names[r.weyl_in_zariski.counterexample],
-            }
-        if r.zariski_interior_in_weyl is not None:
-            v = r.zariski_interior_in_weyl
-            entry["zariski_interior_in_weyl"] = {
-                "holds": v.holds,
-                "pair": None if v.pair is None else [names[v.pair[0]], names[v.pair[1]]],
-            }
+        entry.update(verdicts_to_document(m, r.weyl_in_zariski, r.zariski_interior_in_weyl))
         family.append(entry)
     return {"kind": atlas.kind.value, "family": family}

@@ -5,7 +5,8 @@ Every subcommand prints a deterministic JSON report on standard output
 invalid input or input over a size limit (size_limit), 3 when a query is
 mathematically infeasible (non-big divisor, non-negative-definite curve set,
 unsupported divisor form), 4 when an internal invariant check fails (a bug,
-reported as internal_invariant).
+reported as internal_invariant) or another failure inside the package
+occurs.  Each error class in ``errors`` carries its exit code.
 """
 
 from __future__ import annotations
@@ -17,20 +18,7 @@ import sys
 from pathlib import Path
 
 from . import chambers, gallery, model, plot, zariski
-from .errors import (
-    DegenerateCorners,
-    IndexOutOfRange,
-    InvalidModel,
-    InvariantViolated,
-    ModeMismatch,
-    ModeUnsupported,
-    NotBig,
-    NotNegativeDefinite,
-    NotSymmetric,
-    PreconditionViolated,
-    SizeLimit,
-    UnrecognizedDiagram,
-)
+from .errors import InvalidModel, K3ChambersError
 
 SCHEMA_VERSION = 1
 
@@ -48,12 +36,17 @@ def _banner() -> None:
     print(_ASSUMPTION_NOTE, file=sys.stderr)
 
 
-def _load_model(path: str) -> model.SurfaceModel:
+def _read_model(path: str) -> model.SurfaceModel:
+    """The model document at ``path``, parsed but not validated."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidModel("cannot read model file: %s" % exc) from exc
-    m = model.model_from_json(text)
+    return model.model_from_json(text)
+
+
+def _load_model(path: str) -> model.SurfaceModel:
+    m = _read_model(path)
     report = model.validate_model(m)
     if not report.valid:
         raise InvalidModel(_failed_validation(report))
@@ -95,12 +88,7 @@ def _names(m: model.SurfaceModel, indices) -> list[str]:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidModel("cannot read model file: %s" % exc) from exc
-    m = model.model_from_json(text)
-    report = model.validate_model(m)
+    report = model.validate_model(_read_model(args.model))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "valid": report.valid,
@@ -187,22 +175,12 @@ def _cmd_criteria(args) -> int:
     s = _indices_for_names(m, args.names)
     wz = chambers.weyl_in_zariski(m, s)
     zw = chambers.zariski_interior_in_weyl(m, s)
-    names = model.curve_names(m)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
             "set": _names(m, s),
             "ade": list(chambers.classify_ade(m, s)),
-            "weyl_in_zariski": {
-                "holds": wz.holds,
-                "counterexample": None
-                if wz.counterexample is None
-                else names[wz.counterexample],
-            },
-            "zariski_interior_in_weyl": {
-                "holds": zw.holds,
-                "pair": None if zw.pair is None else _names(m, zw.pair),
-            },
+            **chambers.verdicts_to_document(m, wz, zw),
         }
     )
     return 0
@@ -240,6 +218,7 @@ def _cmd_plot(args) -> int:
     cs = plot.classify_cross_section(m, spec)
     svg = plot.render_cross_section(m, cs)
     Path(args.output).write_bytes(svg.encode("utf-8"))
+    attained = {kind: cs.attained_supports(kind) for kind in cs.kinds}
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -248,15 +227,12 @@ def _cmd_plot(args) -> int:
             "mode": args.mode,
             "panels": {
                 kind: {
-                    "regions": len(cs.attained_supports(kind)),
+                    "regions": len(supports),
                     "supports": [
-                        _names(m, s)
-                        for s in sorted(
-                            cs.attained_supports(kind), key=lambda s: (len(s), s)
-                        )
+                        _names(m, s) for s in sorted(supports, key=lambda s: (len(s), s))
                     ],
                 }
-                for kind in cs.kinds
+                for kind, supports in attained.items()
             },
         }
     )
@@ -379,27 +355,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (NotBig, NotNegativeDefinite, ModeUnsupported) as exc:
+    except K3ChambersError as exc:
         _emit(_error_doc(exc, exc.code))
-        return 3
-    except (
-        InvalidModel,
-        ModeMismatch,
-        IndexOutOfRange,
-        NotSymmetric,
-        PreconditionViolated,
-        DegenerateCorners,
-        UnrecognizedDiagram,
-        SizeLimit,
-    ) as exc:
-        _emit(_error_doc(exc, exc.code))
-        return 2
+        return exc.exit_code
     except ValueError as exc:
         _emit(_error_doc(exc, "invalid_input"))
         return 2
-    except InvariantViolated as exc:
-        _emit(_error_doc(exc, exc.code))
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,20 +1,26 @@
 """Exception types shared across the package.
 
-Every error carries a stable machine-readable ``code`` so the CLI can map
-failures to deterministic JSON reports and exit codes.
+Every error carries a stable machine-readable ``code`` and the CLI's
+``exit_code`` for it, so the CLI maps failures to deterministic JSON reports
+and exit codes: 2 for invalid input or input over a size limit, 3 for a
+mathematically infeasible query, 4 for a failure inside the package.
 """
 
 from __future__ import annotations
 
 
 class K3ChambersError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  An error without an exit code
+    of its own, such as SingularMatrix, is not expected from any input the
+    CLI accepts, so it exits 4."""
 
     code = "error"
+    exit_code = 4
 
 
 class NotSymmetric(K3ChambersError):
     code = "not_symmetric"
+    exit_code = 2
 
 
 class SingularMatrix(K3ChambersError):
@@ -23,30 +29,37 @@ class SingularMatrix(K3ChambersError):
 
 class PreconditionViolated(K3ChambersError):
     code = "precondition_violated"
+    exit_code = 2
 
 
 class ModeMismatch(K3ChambersError):
     code = "mode_mismatch"
+    exit_code = 2
 
 
 class IndexOutOfRange(K3ChambersError):
     code = "index_out_of_range"
+    exit_code = 2
 
 
 class InvalidModel(K3ChambersError):
     code = "invalid_model"
+    exit_code = 2
 
 
 class NotBig(K3ChambersError):
     code = "not_big"
+    exit_code = 3
 
 
 class ModeUnsupported(K3ChambersError):
     code = "mode_unsupported"
+    exit_code = 3
 
 
 class NotNegativeDefinite(K3ChambersError):
     code = "not_negative_definite"
+    exit_code = 3
 
 
 class UnrecognizedDiagram(K3ChambersError):
@@ -55,10 +68,12 @@ class UnrecognizedDiagram(K3ChambersError):
     A-D-E classification is relied upon rather than re-derived."""
 
     code = "unrecognized_diagram"
+    exit_code = 2
 
 
 class DegenerateCorners(K3ChambersError):
     code = "degenerate_corners"
+    exit_code = 2
 
 
 class SizeLimit(K3ChambersError):
@@ -66,6 +81,7 @@ class SizeLimit(K3ChambersError):
     limit, beyond which the work would not finish in reasonable time."""
 
     code = "size_limit"
+    exit_code = 2
 
 
 class InvariantViolated(K3ChambersError):
@@ -73,6 +89,7 @@ class InvariantViolated(K3ChambersError):
     Raised by explicit checks so that they also run under ``python -O``."""
 
     code = "internal_invariant"
+    exit_code = 4
 
 
 def require(condition: bool, message: str) -> None:

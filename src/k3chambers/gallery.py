@@ -3,9 +3,8 @@
 The two built-in surfaces are desk-scale rank-three models: a quartic
 carrying two lines and a conic whose chamber decompositions differ, and a
 double-cover configuration with two disjoint curves where the decompositions
-coincide.  The ample class for each entry is validated at construction; if
-the preferred candidate fails, the constructor deterministically searches
-small positive integer vectors for an interior class.
+coincide.  Each entry states its ample class, which is checked at
+construction to pair positively with itself and every curve.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import linalg, model
 from .linalg import Mat, Vec
@@ -35,28 +33,14 @@ class GalleryEntry:
     expected_inclusions: tuple[tuple[tuple[str, ...], InclusionExpectation], ...]
 
 
-def _interior_ample(gram: Mat, curves: list[Vec], preferred) -> Vec:
-    """Validate the preferred ample candidate; fall back to the first small
-    positive integer vector pairing positively with every curve and itself."""
-
-    def good(v: Vec) -> bool:
-        gv = linalg.mat_vec(gram, v)
-        if linalg.dot(v, gv) <= 0:
-            return False
-        return all(linalg.dot(c, gv) > 0 for c in curves)
-
-    preferred = linalg.vec(preferred)
-    if good(preferred):
-        return preferred
-    n = linalg.dim(gram)
-    for total in range(n, 8 * n + 1):
-        for v in product(range(1, total + 1), repeat=n):
-            if sum(v) != total:
-                continue
-            cand = linalg.vec(v)
-            if good(cand):
-                return cand
-    raise ValueError("no small interior ample class found")
+def _interior_ample(gram: Mat, curves: list[Vec], ample) -> Vec:
+    """The ample class, checked to pair positively with itself and every
+    curve."""
+    v = linalg.vec(ample)
+    gv = linalg.mat_vec(gram, v)
+    if linalg.dot(v, gv) <= 0 or any(linalg.dot(c, gv) <= 0 for c in curves):
+        raise ValueError("ample class %r is not interior" % (ample,))
+    return v
 
 
 def quartic_example() -> GalleryEntry:
@@ -90,7 +74,8 @@ def double_cover_example() -> GalleryEntry:
     F1.F2 = 0, F1.C = F2.C = 2; the two chamber decompositions coincide."""
     gram = linalg.mat([[-2, 0, 2], [0, -2, 2], [2, 2, -2]])
     curves = [linalg.vec(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    ample = _interior_ample(gram, curves, (2, 2, 2))
+    # (2, 2, 2) is orthogonal to F1 and F2; (2, 2, 3) pairs 2 with each curve
+    ample = _interior_ample(gram, curves, (2, 2, 3))
     m = model.full_lattice_model(
         gram,
         [("F1", curves[0]), ("F2", curves[1]), ("C", curves[2])],

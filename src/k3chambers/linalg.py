@@ -3,8 +3,11 @@
 No floating point is used anywhere: the API speaks ``fractions.Fraction``
 and the kernels work in integers.  Matrices are dense tuples of tuples,
 vectors are tuples.  One fraction-free (Bareiss) elimination, ``_eliminate``,
-gives the solve, determinant, negative definiteness test, adjugate, inverse
-and rank.  ``signature`` keeps its own symmetric elimination, whose step at a
+gives the solve, determinant, adjugate, inverse and rank.  Its one reader for
+negative definite matrices, ``solve_negative_definite``, decides definiteness
+by Sylvester's test on the pivots of ``[s | b_1 ... b_k]`` and reads the k
+solutions off the same elimination; ``is_negative_definite`` is its k = 0
+call.  ``signature`` keeps its own symmetric elimination, whose step at a
 zero diagonal is a congruence, not an elimination step.  The module ends with
 an exact Fourier-Motzkin feasibility test for systems of strict linear sign
 constraints.
@@ -157,16 +160,37 @@ def determinant(s: Mat) -> Fraction:
     return Fraction((-1) ** swaps * (pivots[-1] if n else 1), q**n)
 
 
-def is_negative_definite(s: Mat) -> bool:
-    """Sylvester test: every leading k-minor has sign (-1)^k.  With no row
-    swap the pivots are these minors (times q^k > 0), and a swap means a
-    zero minor.  The 0x0 matrix is negative definite (vacuously).
+def solve_negative_definite(
+    s: Mat, rhs: Sequence[Sequence[Fraction]] = ()
+) -> tuple[Vec, ...] | None:
+    """The solutions of ``s @ x = b`` for each b in ``rhs`` when the
+    symmetric matrix s is negative definite, and None when it is not, from
+    one elimination of ``[s | b_1 ... b_k]``.  Sylvester's test: every
+    leading k-minor has sign (-1)^k.  With no row swap the pivots are these
+    minors (times q^k > 0), and a swap means a zero minor.  The right-hand
+    sides enter neither: the pivot choice reads only the first n columns,
+    and they change q only.  The 0x0 matrix is negative definite
+    (vacuously).
     """
     _require_symmetric(s)
-    _, pivots, swaps, _ = _eliminate(s, len(s))
-    return len(pivots) == len(s) and not swaps and all(
-        (-1) ** k * p < 0 for k, p in enumerate(pivots)
+    n = len(s)
+    if any(len(b) != n for b in rhs):
+        raise ValueError("right-hand side dimension mismatch")
+    a, pivots, swaps, _ = _eliminate(
+        [(*row, *(b[i] for b in rhs)) for i, row in enumerate(s)], n
     )
+    if len(pivots) < n or swaps or any((-1) ** k * p >= 0 for k, p in enumerate(pivots)):
+        return None
+    return tuple(
+        tuple(Fraction(row[n + c], row[i]) for i, row in enumerate(a))
+        for c in range(len(rhs))
+    )
+
+
+def is_negative_definite(s: Mat) -> bool:
+    """Whether the symmetric matrix s is negative definite: the
+    ``solve_negative_definite`` test with no right-hand side."""
+    return solve_negative_definite(s) is not None
 
 
 def adjugate(s: Mat) -> tuple[Fraction, Mat]:
@@ -253,10 +277,11 @@ def inverse_nonpositive_check(s: Mat) -> bool:
                 raise PreconditionViolated(
                     "negative off-diagonal entry at (%d, %d)" % (i, j)
                 )
-    if not is_negative_definite(s):
+    # the columns of s^{-1}, solved against the identity
+    inv = solve_negative_definite(s, [[int(i == j) for j in range(n)] for i in range(n)])
+    if inv is None:
         raise PreconditionViolated("matrix is not negative definite")
-    inv = inverse(s)
-    return all(x <= 0 for row in inv for x in row)
+    return all(x <= 0 for col in inv for x in col)
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,18 @@ def scale_divisor(m: SurfaceModel, c, d: DivisorClass) -> DivisorClass:
     return config_divisor(c * d.ample_coeff, linalg.vec_scale(c, d.curve_coeffs))
 
 
+def check_curve_indices(m: SurfaceModel, indices) -> None:
+    """Raise IndexOutOfRange unless every index names a listed curve."""
+    n = curve_count(m)
+    if any(i < 0 or i >= n for i in indices):
+        raise IndexOutOfRange("curve index out of range: %r" % (sorted(indices),))
+
+
 def restrict_gram(m: SurfaceModel, indices) -> Mat:
     """Principal submatrix of the curve Gram on the given index set,
     rows/columns in sorted index order."""
-    n = curve_count(m)
+    check_curve_indices(m, indices)
     idx = sorted(set(indices))
-    if any(i < 0 or i >= n for i in idx):
-        raise IndexOutOfRange("curve index out of range: %r" % (sorted(indices),))
     g = curve_gram(m)
     return tuple(tuple(g[i][j] for j in idx) for i in idx)
 

@@ -59,13 +59,16 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
     support = sorted(i for i in range(n) if dots[i] < 0)
     coeffs: list[Fraction] = []
     while True:
-        sub = model.restrict_gram(m, support)
-        if support and not linalg.is_negative_definite(sub):
+        # one elimination per growth step decides definiteness and solves
+        solved = linalg.solve_negative_definite(
+            model.restrict_gram(m, support), [[dots[j] for j in support]]
+        )
+        if solved is None:
             raise NotBig(
                 "support %r has a non-negative-definite intersection matrix"
                 % (support,)
             )
-        coeffs = list(linalg.solve_linear(sub, [dots[j] for j in support]))
+        coeffs = list(solved[0])
         residual = list(dots)
         for pos, j in enumerate(support):
             b = coeffs[pos]

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from helpers_oracle import (
     weyl_records_exhaustive,
     zariski_records_brute_force,
 )
-from k3chambers import chambers, gallery, linalg, model
+from k3chambers import chambers, gallery, linalg, model, zariski
 from k3chambers.chambers import (
     ChamberKind,
     classify_ade,
@@ -32,7 +33,7 @@ from k3chambers.chambers import (
     zariski_chamber_of,
     zariski_interior_in_weyl,
 )
-from k3chambers.errors import NotBig, NotNegativeDefinite, SizeLimit
+from k3chambers.errors import IndexOutOfRange, NotBig, NotNegativeDefinite, SizeLimit
 from k3chambers.model import config_divisor, full_divisor
 
 
@@ -154,7 +155,13 @@ def test_witness_invariants_are_checked_under_python_O():
         from k3chambers.errors import InvariantViolated
         if not sys.flags.optimize:
             sys.exit("interpreter is not optimized")
-        linalg.solve_linear = lambda a, b: tuple(Fraction(-1) for _ in b)
+        real = linalg.solve_negative_definite
+
+        def wrong(s, rhs=()):
+            sols = real(s, rhs)
+            return sols if sols is None else tuple(tuple(Fraction(-1) for _ in b) for b in rhs)
+
+        linalg.solve_negative_definite = wrong
         try:
             chambers.weyl_witness(quartic_example().model, (0,))
         except InvariantViolated:
@@ -167,6 +174,28 @@ def test_witness_invariants_are_checked_under_python_O():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("s", [(5,), (0, 7), (-1,), (0, -2)])
+def test_out_of_range_curve_indices_are_typed_errors(quartic, s):
+    """An index past the last curve or below zero names the set, whether
+    or not the call tests the set for definiteness first."""
+    m = quartic.model
+
+    def message(t):
+        return re.escape("curve index out of range: %r" % (sorted(t),))
+
+    for call in (weyl_witness, classify_ade, weyl_in_zariski, zariski_interior_in_weyl):
+        with pytest.raises(IndexOutOfRange, match=message(s)):
+            call(m, s)
+    valid = tuple(i for i in s if 0 <= i < 3)
+    cprime = next(c for c in range(3) if c not in s)
+    with pytest.raises(IndexOutOfRange, match=message(s + (cprime,))):
+        weyl_only_witness(m, s, cprime)
+    bad = tuple(i for i in s if not 0 <= i < 3)
+    if valid:
+        with pytest.raises(IndexOutOfRange, match=message(valid + bad)):
+            weyl_only_witness(m, valid, bad[0])
 
 
 def test_weyl_witness_rejects_bad_sets(quartic):
@@ -424,6 +453,60 @@ def test_zariski_atlas_splits_each_support_once(monkeypatch):
     assert len(calls) == len(records) + 1
 
 
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, n: calls.append(n) or real(rows, n))
+    return calls
+
+
+def test_one_elimination_tests_definiteness_and_solves(monkeypatch, quartic):
+    """Where a Gram must be negative definite and is then solved against,
+    one elimination does both: per growth step of a decomposition, per
+    call of weyl_only_witness and of inverse_nonpositive_check, and per
+    connected piece of a standalone witness."""
+    m = gallery.random_configuration(0, 8, 0.2)
+    rng = random.Random(5)
+    divisors = [sample_big_divisor(m, rng) for _ in range(30)]
+    steps = []
+    for d in divisors:
+        met_negatively = sum(x < 0 for x in model.pairings_with_curves(m, d))
+        steps.append(len(zariski.zariski_decompose(m, d).neg_set) - met_negatively + 1)
+    assert max(steps) > 1 and sum(steps) > len(steps)
+    supports = [s for s in negative_definite_subsets(m) if s]
+    pieces = [len(chambers._curve_components(m, s)) for s in supports]
+    assert max(pieces) > 1
+    g = model.curve_gram(m)
+    family = set(negative_definite_subsets(m))
+    extensions = [
+        (s, c) for s in supports for c in range(8)
+        if c not in s and tuple(sorted(s + (c,))) in family and any(g[c][i] for i in s)
+    ][:20]
+    assert extensions
+    grams = [gallery.random_ade_gram(seed) for seed in range(10)]
+
+    calls = _count_eliminations(monkeypatch)
+    for d, k in zip(divisors, steps):
+        zariski.zariski_decompose(m, d)
+        assert len(calls) == k
+        calls.clear()
+    for s, k in zip(supports, pieces):
+        weyl_witness(m, s)
+        assert len(calls) == k
+        calls.clear()
+    for s, c in extensions:
+        weyl_only_witness(m, s, c)
+        assert len(calls) == 1
+        calls.clear()
+    weyl_only_witness(quartic.model, (0,), 1)
+    assert len(calls) == 1
+    calls.clear()
+    for s in grams:
+        assert linalg.inverse_nonpositive_check(s)
+        assert len(calls) == 1
+        calls.clear()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_family_membership_matches_the_guarded_criteria(seed):
     m = gallery.random_configuration(seed, 6, 0.4)
@@ -432,15 +515,14 @@ def test_family_membership_matches_the_guarded_criteria(seed):
         assert weyl_in_zariski(m, s, family) == weyl_in_zariski(m, s)
         assert zariski_interior_in_weyl(m, s, family) == zariski_interior_in_weyl(m, s)
         assert classify_ade(m, s, family) == classify_ade(m, s)
-        if s:
-            assert weyl_witness(m, s, family) == weyl_witness(m, s)
 
 
 def test_family_membership_rejects_a_set_outside_the_family(quartic):
     m = quartic.model
     family = frozenset(frozenset(s) for s in negative_definite_subsets(m))
-    with pytest.raises(NotNegativeDefinite):
-        weyl_witness(m, (0, 2), family)
+    for criterion in (weyl_in_zariski, zariski_interior_in_weyl, classify_ade):
+        with pytest.raises(NotNegativeDefinite):
+            criterion(m, (0, 2), family)
 
 
 def test_weyl_atlas_witnesses_match_fresh_sign_systems():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings, strategies as st, given
 
 from k3chambers import chambers, cli, gallery, linalg, model, zariski
-from k3chambers.errors import InvalidModel
+from k3chambers.errors import InvalidModel, SingularMatrix
 
 
 def run_cli(capsys, *argv):
@@ -213,11 +213,36 @@ def test_criteria_unknown_name_exits_2(capsys, quartic_file):
     assert code == 2
 
 
+def _inject_wrong_solutions(monkeypatch):
+    """Every solve against a negative definite Gram returns all -1; the
+    definiteness verdicts stay right."""
+    real = linalg.solve_negative_definite
+
+    def wrong(s, rhs=()):
+        sols = real(s, rhs)
+        return sols if sols is None else tuple(tuple(Fraction(-1) for _ in b) for b in rhs)
+
+    monkeypatch.setattr(linalg, "solve_negative_definite", wrong)
+
+
 def test_internal_invariant_exits_4(capsys, quartic_file, monkeypatch):
-    monkeypatch.setattr(linalg, "solve_linear", lambda a, b: tuple(Fraction(-1) for _ in b))
+    _inject_wrong_solutions(monkeypatch)
     code, out, _ = run_cli(capsys, "witness", quartic_file, "L1")
     assert code == 4
     assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
+def test_singular_matrix_exits_4(capsys, quartic_file, monkeypatch):
+    """An error class without an exit code of its own exits 4 with its
+    code, not with a traceback."""
+
+    def singular(s, b):
+        raise SingularMatrix("matrix is singular")
+
+    monkeypatch.setattr(linalg, "solve_linear", singular)
+    code, out, _ = run_cli(capsys, "compare", quartic_file)
+    assert code == 4
+    assert json.loads(out)["error"] == {"code": "singular_matrix", "message": "matrix is singular"}
 
 
 def test_fm_invariant_exits_4(capsys, quartic_file, monkeypatch):
@@ -261,7 +286,7 @@ def test_wrong_piece_solve_in_the_atlas_exits_4(capsys, tmp_path, monkeypatch):
     piece solution is still caught by the checks on the record."""
     path = tmp_path / "pieces.json"
     path.write_text(model.model_to_json(gallery.random_configuration(0, 8, 0.2)))
-    monkeypatch.setattr(linalg, "solve_linear", lambda a, b: tuple(Fraction(-1) for _ in b))
+    _inject_wrong_solutions(monkeypatch)
     code, out, _ = run_cli(capsys, "chambers", str(path))
     assert code == 4
     assert json.loads(out)["error"]["code"] == "internal_invariant"

@@ -16,11 +16,18 @@ def test_quartic_golden_data(quartic):
 def test_double_cover_golden_data(double_cover):
     m = double_cover.model
     assert m.gram == ((-2, 0, 2), (0, -2, 2), (2, 2, -2))
-    # (2,2,2) pairs to zero with F1 and F2; the deterministic search yields (2,2,3)
+    # (2,2,2) pairs to zero with F1 and F2, so the entry states (2,2,3)
     assert m.ample_coords == (2, 2, 3)
     assert model.ample_pairings(m) == (2, 2, 2)
     assert model.ample_square(m) == 14
     assert validate_model(m).valid
+
+
+def test_ample_class_that_is_not_interior_is_refused(double_cover):
+    gram = double_cover.model.gram
+    curves = [c.coords for c in double_cover.model.curves]
+    with pytest.raises(ValueError, match="not interior"):
+        gallery._interior_ample(gram, curves, (2, 2, 2))
 
 
 @pytest.mark.parametrize("entry_id", ["quartic", "double-cover"])

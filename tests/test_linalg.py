@@ -326,6 +326,56 @@ def test_signature_agrees_with_charpoly_and_descartes(s):
     assert is_negative_definite(s) == (inertia[1] == len(s))
 
 
+@st.composite
+def _symmetric_with_rhs(draw):
+    """A symmetric rational matrix, negative definite by construction
+    (-(M^T M) - I) about half the time, and up to three right-hand sides."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        s = draw(sym_matrix(n, mixed_rationals))
+    else:
+        entries = st.lists(mixed_rationals, min_size=n, max_size=n)
+        m = draw(st.lists(entries, min_size=n, max_size=n))
+        s = linalg.mat(
+            [[-sum((m[t][i] * m[t][j] for t in range(n)), Fraction(int(i == j)))
+              for j in range(n)] for i in range(n)]
+        )
+    rhs = draw(st.lists(st.lists(mixed_rationals, min_size=n, max_size=n), max_size=3))
+    return s, [linalg.vec(b) for b in rhs]
+
+
+@settings(max_examples=150)
+@given(_symmetric_with_rhs())
+@example((linalg.mat([[0, -1], [-1, -2]]), [linalg.vec([1, 2])]))
+@example(((), [(), ()]))
+def test_negative_definite_solve_agrees_with_sympy(data):
+    """Definiteness from the inertia of the characteristic polynomial, and
+    each solution from sympy's solve, whatever the right-hand sides."""
+    s, rhs = data
+    n = len(s)
+    sols = linalg.solve_negative_definite(s, rhs)
+    nd = _inertia_by_descartes(s)[1] == n
+    assert (sols is not None) == nd == is_negative_definite(s)
+    if not nd:
+        return
+    assert len(sols) == len(rhs)
+    for b, x in zip(rhs, sols):
+        if n:
+            ref = _sympy_matrix(s, n).LUsolve(_sympy_matrix([[y] for y in b], 1))
+            assert x == tuple(_fraction(y) for y in ref)
+        else:
+            assert x == ()
+
+
+def test_negative_definite_solve_rejects_bad_input():
+    with pytest.raises(NotSymmetric):
+        linalg.solve_negative_definite(linalg.mat([[-2, 1], [0, -2]]))
+    with pytest.raises(ValueError):
+        linalg.solve_negative_definite(A2, [linalg.vec([1])])
+    assert linalg.solve_negative_definite(A2, [linalg.vec([-2, -2])]) == (linalg.vec([2, 2]),)
+    assert linalg.solve_negative_definite(A2) == ()
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility
 # ---------------------------------------------------------------------------
