@@ -418,12 +418,12 @@ def weyl_witness(
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("witness construction needs a nonempty support")
-    model.check_curve_indices(m, s)
     if solved is None:
         solved = {}
     h = model.ample_pairings(m)
     a = [Fraction(0)] * model.curve_count(m)
     if pieces is None:
+        model.check_curve_indices(m, s)  # the split reads the Gram by index
         pieces = _curve_components(m, s)
     for piece in pieces:
         sol = solved.get(piece)
@@ -632,13 +632,12 @@ def classify_ade(
 
 
 def verdicts_to_document(
-    m: SurfaceModel,
+    names: tuple[str, ...],
     wz: InclusionVerdict | None,
     zw: InteriorInclusionVerdict | None,
 ) -> dict:
-    """The two inclusion verdicts as report entries, curves by name; a
-    verdict that is None has no entry."""
-    names = model.curve_names(m)
+    """The two inclusion verdicts as report entries, curves by their
+    ``names``; a verdict that is None has no entry."""
     doc: dict = {}
     if wz is not None:
         doc["weyl_in_zariski"] = {
@@ -663,6 +662,6 @@ def atlas_to_document(m: SurfaceModel, atlas: ChamberAtlas) -> dict:
         }
         if r.ade is not None:
             entry["ade"] = list(r.ade)
-        entry.update(verdicts_to_document(m, r.weyl_in_zariski, r.zariski_interior_in_weyl))
+        entry.update(verdicts_to_document(names, r.weyl_in_zariski, r.zariski_interior_in_weyl))
         family.append(entry)
     return {"kind": atlas.kind.value, "family": family}

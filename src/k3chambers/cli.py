@@ -180,7 +180,7 @@ def _cmd_criteria(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "set": _names(m, s),
             "ade": list(chambers.classify_ade(m, s)),
-            **chambers.verdicts_to_document(m, wz, zw),
+            **chambers.verdicts_to_document(model.curve_names(m), wz, zw),
         }
     )
     return 0

@@ -176,15 +176,15 @@ def solve_negative_definite(
     n = len(s)
     if any(len(b) != n for b in rhs):
         raise ValueError("right-hand side dimension mismatch")
-    a, pivots, swaps, _ = _eliminate(
-        [(*row, *(b[i] for b in rhs)) for i, row in enumerate(s)], n
-    )
+    # row i of [s | b_1 ... b_k] is column i of s, as s is symmetric, and
+    # the i-th entries of the b's
+    a, pivots, swaps, _ = _eliminate(list(zip(*s, *rhs)), n)
     if len(pivots) < n or swaps or any((-1) ** k * p >= 0 for k, p in enumerate(pivots)):
         return None
-    return tuple(
-        tuple(Fraction(row[n + c], row[i]) for i, row in enumerate(a))
+    return tuple([
+        tuple([Fraction(row[n + c], row[i]) for i, row in enumerate(a)])
         for c in range(len(rhs))
-    )
+    ])
 
 
 def is_negative_definite(s: Mat) -> bool:

@@ -370,8 +370,9 @@ def test_negative_definite_solve_agrees_with_sympy(data):
 def test_negative_definite_solve_rejects_bad_input():
     with pytest.raises(NotSymmetric):
         linalg.solve_negative_definite(linalg.mat([[-2, 1], [0, -2]]))
-    with pytest.raises(ValueError):
-        linalg.solve_negative_definite(A2, [linalg.vec([1])])
+    for s, b in ((A2, [1]), (A2, [1, 2, 3]), ((), [1])):
+        with pytest.raises(ValueError):
+            linalg.solve_negative_definite(s, [linalg.vec(b)])
     assert linalg.solve_negative_definite(A2, [linalg.vec([-2, -2])]) == (linalg.vec([2, 2]),)
     assert linalg.solve_negative_definite(A2) == ()
 
