@@ -438,10 +438,11 @@ def weyl_witness(
             a[j] = x
     require(all(x >= 0 for x in a), "weyl_witness: negative coefficient")
     d = model.divisor_from_ample_and_curves(m, 1, a)
-    dots = model.pairings_with_curves(m, d)
-    require(all(dots[j] == -1 for j in s), "weyl_witness: pairing with the support is not -1")
+    # D . C_c = nums[c] / den with den > 0, checked in integers
+    nums, den = model.pairing_numerators(m, d)
+    require(all(nums[j] == -den for j in s), "weyl_witness: pairing with the support is not -1")
     require(
-        all(dots[c] > 0 for c in range(model.curve_count(m)) if c not in s),
+        all(x > 0 for c, x in enumerate(nums) if c not in s),
         "weyl_witness: nonpositive pairing outside the support",
     )
     return d

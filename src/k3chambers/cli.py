@@ -7,6 +7,13 @@ mathematically infeasible (non-big divisor, non-negative-definite curve set,
 unsupported divisor form), 4 when an internal invariant check fails (a bug,
 reported as internal_invariant) or another failure inside the package
 occurs.  Each error class in ``errors`` carries its exit code.
+
+``main`` builds the argument parser on its first call and keeps it for the
+rest of the process; the parser holds constants only, so every call still
+reads, validates and computes from its own input.  Every intersection number
+in a report comes from the model's one integer form (``model.pair``), and the
+volume of ``decompose`` is the ``ZariskiResult.volume`` computed with the
+decomposition, not a second pairing.
 """
 
 from __future__ import annotations
@@ -105,7 +112,6 @@ def _cmd_decompose(args) -> int:
     _banner()
     d = _parse_divisor(m, args.divisor)
     result = zariski.zariski_decompose(m, d)
-    vol = model.pair(m, result.nef_part, result.nef_part)
     neg_names = _names(m, (i for i, _ in result.neg_coeffs))
     _emit(
         {
@@ -115,7 +121,7 @@ def _cmd_decompose(args) -> int:
             "N": dict(zip(neg_names, model.rational_texts(b for _, b in result.neg_coeffs))),
             "neg_set": _names(m, result.neg_set),
             "null_set": _names(m, result.null_set),
-            "volume": model.rational_texts([vol])[0],
+            "volume": model.rational_texts([result.volume])[0],
             "boundary": set(result.null_set) > set(result.neg_set),
         }
     )
@@ -351,9 +357,16 @@ def _error_doc(exc: Exception, code: str) -> dict:
     }
 
 
+# built by the first call of ``main`` and kept (see the module docstring)
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args)
     except K3ChambersError as exc:
         _emit(_error_doc(exc, exc.code))

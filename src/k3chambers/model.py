@@ -85,6 +85,29 @@ class SurfaceModel:
         return rows, q
 
     @cached_property
+    def pairing_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """An integer matrix ``B`` and a denominator ``q > 0`` with
+        ``D1 . D2 = (v1^T B v2) / q``, where ``v`` is as in ``pairing_rows``:
+        ``B / q`` is the Gram (full lattice) or ``[[H^2, h^T], [h, G]]`` with
+        ``h_i = H . C_i`` (configuration).  Built in integers and checked
+        once against the rational data."""
+        if self.mode is Mode.CONFIGURATION:
+            rational = ((self.ample_self, *self.ample_dots),
+                        *((h, *row) for h, row in zip(self.ample_dots, self.gram, strict=True)))
+        else:
+            rational = self.gram
+        flat, q = linalg.over_common_denominator(x for row in rational for x in row)
+        k = len(rational)
+        form = tuple(flat[i * k:(i + 1) * k] for i in range(k))
+        require(
+            all(b * x.denominator == q * x.numerator
+                for row, xs in zip(form, rational, strict=True)
+                for b, x in zip(row, xs, strict=True)),
+            "SurfaceModel.pairing_form: form differs from the rational pairings",
+        )
+        return form, q
+
+    @cached_property
     def curve_gram(self) -> Mat:
         """The curve-curve intersection matrix."""
         if self.mode is Mode.CONFIGURATION:
@@ -162,7 +185,8 @@ def ample_pairings(m: SurfaceModel) -> Vec:
 def ample_square(m: SurfaceModel) -> Fraction:
     if m.mode is Mode.CONFIGURATION:
         return m.ample_self
-    return linalg.dot(m.ample_coords, linalg.mat_vec(m.gram, m.ample_coords))
+    h = ample_divisor(m)
+    return pair(m, h, h)
 
 
 def ample_divisor(m: SurfaceModel) -> DivisorClass:
@@ -182,21 +206,24 @@ def _check_divisor(m: SurfaceModel, d: DivisorClass) -> None:
             raise ModeMismatch("curve coefficient count mismatch")
 
 
+def _vector(m: SurfaceModel, d: DivisorClass) -> Sequence[Fraction]:
+    """The vector ``v`` of a checked divisor: its coordinates (full lattice)
+    or ``(t, a_1, ..., a_n)`` (configuration)."""
+    if m.mode is Mode.FULL_LATTICE:
+        return d.coords
+    return (d.ample_coeff, *d.curve_coeffs)
+
+
 def pair(m: SurfaceModel, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    """Exact intersection number of two divisor classes."""
+    """Exact intersection number of two divisor classes: one integer
+    bilinear form over the two divisors' common denominators."""
     _check_divisor(m, d1)
     _check_divisor(m, d2)
-    if m.mode is Mode.FULL_LATTICE:
-        return linalg.dot(d1.coords, linalg.mat_vec(m.gram, d2.coords))
-    h = m.ample_dots
-    t1, a1 = d1.ample_coeff, d1.curve_coeffs
-    t2, a2 = d2.ample_coeff, d2.curve_coeffs
-    return (
-        t1 * t2 * m.ample_self
-        + t1 * linalg.dot(h, a2)
-        + t2 * linalg.dot(h, a1)
-        + linalg.dot(a1, linalg.mat_vec(m.gram, a2))
-    )
+    form, q = m.pairing_form
+    w1, den1 = linalg.over_common_denominator(_vector(m, d1))
+    w2, den2 = linalg.over_common_denominator(_vector(m, d2))
+    total = sum(x * sum(map(mul, row, w2)) for x, row in zip(w1, form) if x)
+    return Fraction(total, q * den1 * den2)
 
 
 def curve_divisor(m: SurfaceModel, i: int) -> DivisorClass:
@@ -209,21 +236,31 @@ def curve_divisor(m: SurfaceModel, i: int) -> DivisorClass:
     return config_divisor(0, unit)
 
 
-def _pairings(m: SurfaceModel, v: Sequence[Fraction]) -> Vec:
-    """D . C_i for every listed curve, where v is the vector of D as in
-    ``pairing_rows``: one integer mat-vec over v's common denominator."""
+def _pairing_numerators(m: SurfaceModel, v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integers ``n_i`` and ``den > 0`` with ``D . C_i = n_i / den`` for
+    every listed curve, where v is the vector of D as in ``pairing_rows``:
+    one integer mat-vec over v's common denominator."""
     rows, q = m.pairing_rows
     w, den = linalg.over_common_denominator(v)
-    den *= q
-    return tuple(Fraction(sum(map(mul, row, w)), den) for row in rows)
+    return tuple(sum(map(mul, row, w)) for row in rows), den * q
+
+
+def _pairings(m: SurfaceModel, v: Sequence[Fraction]) -> Vec:
+    nums, den = _pairing_numerators(m, v)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def pairing_numerators(m: SurfaceModel, d: DivisorClass) -> tuple[tuple[int, ...], int]:
+    """D . C_i = n_i / den for every listed curve, as the integers and the
+    denominator ``den > 0``."""
+    _check_divisor(m, d)
+    return _pairing_numerators(m, _vector(m, d))
 
 
 def pairings_with_curves(m: SurfaceModel, d: DivisorClass) -> Vec:
     """D . C_i for every listed curve."""
     _check_divisor(m, d)
-    if m.mode is Mode.FULL_LATTICE:
-        return _pairings(m, d.coords)
-    return _pairings(m, (d.ample_coeff, *d.curve_coeffs))
+    return _pairings(m, _vector(m, d))
 
 
 def divisor_from_ample_and_curves(m: SurfaceModel, t, a) -> DivisorClass:
@@ -325,7 +362,8 @@ def validate_model(m: SurfaceModel) -> ValidationReport:
                 continue
             if any(x.denominator != 1 for x in c.coords):
                 fails.append("curve %d has non-integer coordinates" % i)
-            self_int = linalg.dot(c.coords, linalg.mat_vec(m.gram, c.coords))
+            curve = DivisorClass(coords=c.coords)
+            self_int = pair(m, curve, curve)
             if self_int != -2:
                 fails.append("curve %d: self-intersection %s violates -2" % (i, self_int))
         if curves_ok:

@@ -23,12 +23,13 @@ class ZariskiResult:
     """D = P + N with P the nef part and N = sum of neg_coeffs[i] * C_i.
 
     neg_set is the support of N; null_set is the set of listed curves that P
-    pairs to zero with (always a superset of neg_set)."""
+    pairs to zero with (always a superset of neg_set); volume is P^2."""
 
     nef_part: DivisorClass
     neg_coeffs: tuple[tuple[int, Fraction], ...]
     neg_set: tuple[int, ...]
     null_set: tuple[int, ...]
+    volume: Fraction
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,13 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
         neg_coeffs=tuple((j, coeffs[pos]) for pos, j in enumerate(support)),
         neg_set=tuple(support),
         null_set=null,
+        volume=p_square,
     )
 
 
 def volume(m: SurfaceModel, d: DivisorClass) -> Fraction:
     """vol(D) = P^2 for the nef part P; raises NotBig on non-big input."""
-    result = zariski_decompose(m, d)
-    return model.pair(m, result.nef_part, result.nef_part)
+    return zariski_decompose(m, d).volume
 
 
 def is_big(m: SurfaceModel, d: DivisorClass) -> BignessCheck:

@@ -653,3 +653,82 @@ def test_help_still_exits_0(capsys):
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: k3chambers")
+
+
+# ---------------------------------------------------------------------------
+# the kept parser and the decompose query path
+# ---------------------------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """Exit code (or SystemExit code) and stdout bytes of one ``main`` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return code, capsys.readouterr().out.encode("utf-8")
+
+
+def test_kept_parser_gives_the_bytes_of_a_fresh_parser(capsys, quartic_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    svg = tmp_path / "corners.svg"
+    sequence = [
+        ["decompose", quartic_file, "[5,7,2]"],
+        ["decompose", "quartic.json", "-x"],
+        ["--help"],
+        ["chambers", quartic_file],
+        ["criteria", quartic_file],
+        ["plot", quartic_file, "--corners", "[1,0,0]", "[0,1,0]", "[0,0,1]",
+         "--res", "8", "-o", str(svg)],
+    ]
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    kept = [(_outcome(capsys, argv), svg.read_bytes() if argv[0] == "plot" else None)
+            for argv in sequence]
+    assert len(builds) == 1
+
+    for argv, expected in zip(sequence, kept):
+        monkeypatch.setattr(cli, "_parser", None)  # the next call builds afresh
+        fresh = (_outcome(capsys, argv), svg.read_bytes() if argv[0] == "plot" else None)
+        assert fresh == expected, argv
+    assert len(builds) == 1 + len(sequence)
+    assert [code for (code, _), _ in kept] == [0, 2, ("SystemExit", 0), 0, 0, 0]
+
+
+def test_decompose_pairs_twice_and_reports_the_result_volume(capsys, quartic_file, monkeypatch):
+    """After the model is loaded, a decompose query pairs twice (P^2 and
+    P.H, both inside zariski_decompose) and prints the result's volume."""
+    pairs = []
+    results = []
+    real_pair, real_load, real_decompose = model.pair, cli._load_model, zariski.zariski_decompose
+
+    def counting_pair(m, d1, d2):
+        pairs.append((d1, d2))
+        return real_pair(m, d1, d2)
+
+    def load(path):  # validation pairs too; count from here on
+        m = real_load(path)
+        monkeypatch.setattr(model, "pair", counting_pair)
+        return m
+
+    def decompose(m, d):
+        results.append((m, real_decompose(m, d)))
+        return results[-1][1]
+
+    monkeypatch.setattr(cli, "_load_model", load)
+    monkeypatch.setattr(zariski, "zariski_decompose", decompose)
+    # P^2 = 18 and P.H = 24 here, so the two pairings cannot stand in for each other
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, "[3,1,4]")
+    assert code == 0
+    (m, result), = results
+    nef = result.nef_part
+    assert pairs == [(nef, nef), (nef, model.ample_divisor(m))]
+    assert result.volume == real_pair(m, nef, nef)
+    assert json.loads(out)["volume"] == str(result.volume)

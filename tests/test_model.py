@@ -350,3 +350,62 @@ def test_corrupted_pairing_rows_trip_the_witness_check():
     m.__dict__["pairing_rows"] = (tuple(tuple(-x for x in row) for row in rows), q)
     with pytest.raises(InvariantViolated, match="weyl_witness"):
         chambers.weyl_witness(m, (0,))
+
+
+# ---------------------------------------------------------------------------
+# integer pairing form
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _config_model_and_two_divisors(draw):
+    m, d1 = draw(_config_model_and_divisor())
+    return m, d1, config_divisor(draw(rationals), draw(_fractions(len(m.curves))))
+
+
+@st.composite
+def _full_model_and_two_divisors(draw):
+    m, d1 = draw(_full_model_and_divisor())
+    return m, d1, full_divisor(draw(_fractions(len(m.gram))))
+
+
+@given(_config_model_and_two_divisors())
+def test_configuration_pair_matches_fraction_oracle(case):
+    m, d1, d2 = case
+    t1, a1, t2, a2 = d1.ample_coeff, d1.curve_coeffs, d2.ample_coeff, d2.curve_coeffs
+    g, h = m.gram, m.ample_dots
+    n = len(h)
+    # (t1 H + a1 C) . (t2 H + a2 C), the Gram read as given, not symmetrised
+    expected = (
+        t1 * t2 * m.ample_self
+        + t1 * sum((h[j] * a2[j] for j in range(n)), Fraction(0))
+        + t2 * sum((a1[i] * h[i] for i in range(n)), Fraction(0))
+        + sum((a1[i] * g[i][j] * a2[j] for i in range(n) for j in range(n)), Fraction(0))
+    )
+    assert pair(m, d1, d2) == expected
+
+
+@given(_full_model_and_two_divisors())
+def test_full_lattice_pair_matches_fraction_oracle(case):
+    m, d1, d2 = case
+    u, v, g = d1.coords, d2.coords, m.gram
+    expected = sum(
+        (u[j] * g[j][k] * v[k] for j in range(len(u)) for k in range(len(v))), Fraction(0)
+    )
+    assert pair(m, d1, d2) == expected
+
+
+@pytest.mark.parametrize("configuration", [False, True])
+def test_pairing_form_build_is_checked_against_the_rational_data(monkeypatch, configuration):
+    m = model_from_json(model_to_json(gallery.quartic_example().model))
+    if configuration:
+        m = to_configuration(m)
+    real = model.linalg.over_common_denominator
+
+    def off_by_one(v):
+        w, den = real(v)
+        return (w[0] + 1, *w[1:]), den
+
+    monkeypatch.setattr(model.linalg, "over_common_denominator", off_by_one)
+    with pytest.raises(InvariantViolated, match="pairing_form"):
+        m.pairing_form

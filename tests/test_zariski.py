@@ -147,8 +147,8 @@ def test_result_invariants_on_sampled_big_divisors(m):
         assert r.null_set == tuple(i for i in range(n) if p_dots[i] == 0)
         # negative definite support, positive volume
         assert model.restrict_gram(m, r.neg_set) is not None
-        assert model.pair(m, r.nef_part, r.nef_part) > 0
-        assert volume(m, d) > 0
+        assert model.pair(m, r.nef_part, r.nef_part) == r.volume > 0
+        assert volume(m, d) == r.volume
 
 
 @pytest.mark.parametrize("m", _models_for_sampling())
