@@ -8,12 +8,11 @@ unsupported divisor form), 4 when an internal invariant check fails (a bug,
 reported as internal_invariant) or another failure inside the package
 occurs.  Each error class in ``errors`` carries its exit code.
 
-``main`` builds the argument parser on its first call and keeps it for the
-rest of the process; the parser holds constants only, so every call still
-reads, validates and computes from its own input.  Every intersection number
-in a report comes from the model's one integer form (``model.pair``), and the
-volume of ``decompose`` is the ``ZariskiResult.volume`` computed with the
-decomposition, not a second pairing.
+Every intersection number in a report comes from the model's one integer
+form (``SurfaceModel.pairing_form``): ``model.pair`` evaluates it, and the
+curve pairings use its curve rows.  The volume of ``decompose`` is the
+``ZariskiResult.volume`` computed with the decomposition, not a second
+pairing.
 """
 
 from __future__ import annotations
@@ -357,16 +356,9 @@ def _error_doc(exc: Exception, code: str) -> dict:
     }
 
 
-# built by the first call of ``main`` and kept (see the module docstring)
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
     try:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except K3ChambersError as exc:
         _emit(_error_doc(exc, exc.code))

@@ -49,45 +49,10 @@ class SurfaceModel:
 
     # lazy, so that validate_model reports a malformed model instead of raising
     @cached_property
-    def pairing_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Integer rows ``R`` and a denominator ``q > 0`` with
-        ``D . C_i = (R_i . v) / q``, where ``v`` is the divisor's coordinates
-        (full lattice) or ``(t, a_1, ..., a_n)`` (configuration).  Built in
-        integers and checked once against the rational data."""
-        if self.mode is Mode.CONFIGURATION:
-            # R_i / q = (H . C_i, C_i . C_1, ..., C_i . C_n)
-            rational = tuple((h, *row) for h, row in zip(self.ample_dots, self.gram, strict=True))
-            flat, q = linalg.over_common_denominator(x for row in rational for x in row)
-            k = len(self.gram) + 1
-            rows = tuple(flat[i * k:(i + 1) * k] for i in range(len(rational)))
-        else:
-            # R_i / q = c_i^T G, one integer mat-vec per curve; the rational
-            # rows come first, as linalg.dot rejects a coordinate vector of
-            # the wrong length
-            rational = tuple(
-                tuple(linalg.dot(c.coords, col) for col in zip(*self.gram)) for c in self.curves
-            )
-            k = len(self.gram)
-            gram, g_den = linalg.over_common_denominator(x for row in self.gram for x in row)
-            coords, c_den = linalg.over_common_denominator(x for c in self.curves for x in c.coords)
-            cols = [gram[j::k] for j in range(k)]
-            rows = tuple(
-                tuple(sum(map(mul, coords[i * k:(i + 1) * k], col)) for col in cols)
-                for i in range(len(self.curves))
-            )
-            q = g_den * c_den
-        require(
-            all(r * x.denominator == q * x.numerator
-                for row, xs in zip(rows, rational, strict=True)
-                for r, x in zip(row, xs, strict=True)),
-            "SurfaceModel.pairing_rows: rows differ from the rational pairings",
-        )
-        return rows, q
-
-    @cached_property
     def pairing_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """An integer matrix ``B`` and a denominator ``q > 0`` with
-        ``D1 . D2 = (v1^T B v2) / q``, where ``v`` is as in ``pairing_rows``:
+        ``D1 . D2 = (v1^T B v2) / q``, where ``v`` is the divisor's
+        coordinates (full lattice) or ``(t, a_1, ..., a_n)`` (configuration):
         ``B / q`` is the Gram (full lattice) or ``[[H^2, h^T], [h, G]]`` with
         ``h_i = H . C_i`` (configuration).  Built in integers and checked
         once against the rational data."""
@@ -108,18 +73,45 @@ class SurfaceModel:
         return form, q
 
     @cached_property
+    def pairing_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer rows ``R`` and a denominator ``q > 0`` with
+        ``D . C_i = (R_i . v) / q``, ``v`` as in ``pairing_form``: the curve
+        rows of that form (configuration), or the curves' integer coordinates
+        times it over their common denominator (full lattice)."""
+        form, q = self.pairing_form
+        if self.mode is Mode.CONFIGURATION:
+            return form[1:], q
+        k = len(form)
+        if any(len(c.coords) != k for c in self.curves):
+            raise ValueError("dimension mismatch")
+        rational = tuple(x for c in self.curves for x in c.coords)
+        coords, c_den = linalg.over_common_denominator(rational)
+        require(
+            all(w * x.denominator == c_den * x.numerator for w, x in zip(coords, rational)),
+            "SurfaceModel.pairing_rows: coordinates differ from the curves' coordinates",
+        )
+        cols = tuple(zip(*form))
+        rows = tuple(
+            tuple(sum(map(mul, coords[i * k:(i + 1) * k], col)) for col in cols)
+            for i in range(len(self.curves))
+        )
+        return rows, q * c_den
+
+    @cached_property
     def curve_gram(self) -> Mat:
         """The curve-curve intersection matrix."""
         if self.mode is Mode.CONFIGURATION:
             return self.gram
-        return tuple(zip(*(_pairings(self, c.coords) for c in self.curves)))
+        cols = (_pairing_numerators(self, c.coords) for c in self.curves)
+        return tuple(zip(*(tuple(Fraction(x, den) for x in nums) for nums, den in cols)))
 
     @cached_property
     def ample_pairings(self) -> Vec:
         """Intersection of the ample class with each listed curve."""
         if self.mode is Mode.CONFIGURATION:
             return self.ample_dots
-        return _pairings(self, self.ample_coords)
+        nums, den = _pairing_numerators(self, self.ample_coords)
+        return tuple(Fraction(x, den) for x in nums)
 
 
 @dataclass(frozen=True)
@@ -238,16 +230,11 @@ def curve_divisor(m: SurfaceModel, i: int) -> DivisorClass:
 
 def _pairing_numerators(m: SurfaceModel, v: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integers ``n_i`` and ``den > 0`` with ``D . C_i = n_i / den`` for
-    every listed curve, where v is the vector of D as in ``pairing_rows``:
+    every listed curve, where v is the vector of D as in ``pairing_form``:
     one integer mat-vec over v's common denominator."""
     rows, q = m.pairing_rows
     w, den = linalg.over_common_denominator(v)
     return tuple(sum(map(mul, row, w)) for row in rows), den * q
-
-
-def _pairings(m: SurfaceModel, v: Sequence[Fraction]) -> Vec:
-    nums, den = _pairing_numerators(m, v)
-    return tuple(Fraction(x, den) for x in nums)
 
 
 def pairing_numerators(m: SurfaceModel, d: DivisorClass) -> tuple[tuple[int, ...], int]:
@@ -259,8 +246,8 @@ def pairing_numerators(m: SurfaceModel, d: DivisorClass) -> tuple[tuple[int, ...
 
 def pairings_with_curves(m: SurfaceModel, d: DivisorClass) -> Vec:
     """D . C_i for every listed curve."""
-    _check_divisor(m, d)
-    return _pairings(m, _vector(m, d))
+    nums, den = pairing_numerators(m, d)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def divisor_from_ample_and_curves(m: SurfaceModel, t, a) -> DivisorClass:

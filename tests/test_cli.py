@@ -656,50 +656,8 @@ def test_help_still_exits_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the kept parser and the decompose query path
+# the decompose query path
 # ---------------------------------------------------------------------------
-
-
-def _outcome(capsys, argv):
-    """Exit code (or SystemExit code) and stdout bytes of one ``main`` call."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    return code, capsys.readouterr().out.encode("utf-8")
-
-
-def test_kept_parser_gives_the_bytes_of_a_fresh_parser(capsys, quartic_file, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    svg = tmp_path / "corners.svg"
-    sequence = [
-        ["decompose", quartic_file, "[5,7,2]"],
-        ["decompose", "quartic.json", "-x"],
-        ["--help"],
-        ["chambers", quartic_file],
-        ["criteria", quartic_file],
-        ["plot", quartic_file, "--corners", "[1,0,0]", "[0,1,0]", "[0,0,1]",
-         "--res", "8", "-o", str(svg)],
-    ]
-    builds = []
-    real_build = cli.build_parser
-
-    def counting_build():
-        builds.append(1)
-        return real_build()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    monkeypatch.setattr(cli, "_parser", None)
-    kept = [(_outcome(capsys, argv), svg.read_bytes() if argv[0] == "plot" else None)
-            for argv in sequence]
-    assert len(builds) == 1
-
-    for argv, expected in zip(sequence, kept):
-        monkeypatch.setattr(cli, "_parser", None)  # the next call builds afresh
-        fresh = (_outcome(capsys, argv), svg.read_bytes() if argv[0] == "plot" else None)
-        assert fresh == expected, argv
-    assert len(builds) == 1 + len(sequence)
-    assert [code for (code, _), _ in kept] == [0, 2, ("SystemExit", 0), 0, 0, 0]
 
 
 def test_decompose_pairs_twice_and_reports_the_result_volume(capsys, quartic_file, monkeypatch):

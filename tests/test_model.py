@@ -330,6 +330,7 @@ def test_full_lattice_pairings_match_fraction_oracle(case):
 
 def test_pairing_rows_build_is_checked_against_the_rational_data(monkeypatch):
     m = model_from_json(model_to_json(gallery.quartic_example().model))
+    m.pairing_form  # the rows are built from the form, which is checked on its own
     real = model.linalg.over_common_denominator
 
     def off_by_one(v):
