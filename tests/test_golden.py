@@ -18,6 +18,7 @@ MODELS = {
     "random9.json": ["random", "--seed", "0", "--n", "9", "--density", "0.2"],
     "random9-3.json": ["random", "--seed", "3", "--n", "9", "--density", "0.2"],
     "random12.json": ["random", "--seed", "148", "--n", "12", "--density", "0.2"],
+    "random12-sparse.json": ["random", "--seed", "0", "--n", "12", "--density", "0.1"],
 }
 
 STDOUT_DIGESTS = {
@@ -50,6 +51,13 @@ STDOUT_DIGESTS = {
     "chambers random n12 seed 148": (
         ["chambers", "random12.json"],
         "879a4608cff79e6796a3de443e967b2c0410cf78906680cefb08982ff3050539",
+    ),
+    # a hyperbolic model (inertia (1, 12, 0)) with 4096 chambers: its 4096
+    # Zariski supports split into 23552 connected pieces, only 13 distinct.
+    # Recorded before the Zariski atlas joined its records from pieces
+    "chambers random n12 seed 0 sparse": (
+        ["chambers", "random12-sparse.json"],
+        "830fca1035f9aeb6bad1d388999f4dc5f7a8e18d97a0001768f963ff1224af2e",
     ),
     "decompose quartic": (
         ["decompose", "quartic.json", "[5,7,2]"],
