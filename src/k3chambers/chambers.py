@@ -49,10 +49,6 @@ from .model import DivisorClass, SurfaceModel
 # sign patterns over its blocks K, and its atlas can still hold 2^n records
 MAX_WEYL_CURVES = 12
 
-# the negative definite subsets of a model, as computed once per Zariski
-# atlas by negative_definite_subsets and handed to the per-support criteria
-NDFamily = frozenset[frozenset[int]]
-
 
 class ChamberKind(Enum):
     ZARISKI = "zariski"
@@ -215,40 +211,41 @@ def negative_definite_subsets(m: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(s)) for s in family), key=lambda s: (len(s), s)))
 
 
-def _is_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None) -> bool:
-    if nd_family is None:
-        return linalg.is_negative_definite(model.restrict_gram(m, s))
-    return frozenset(s) in nd_family
-
-
-def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...], nd_family: NDFamily | None) -> None:
-    if not _is_negative_definite(m, s, nd_family):
-        raise NotNegativeDefinite(
-            "curve set %r is not negative definite" % (list(s),)
-        )
+def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...]) -> None:
+    if not linalg.is_negative_definite(model.restrict_gram(m, s)):
+        raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
 
 
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
-    """One chamber per negative definite subset.  The family is computed
-    once and handed to the per-support criteria and A-D-E classification,
-    which then decide negative definiteness by membership.  Each support is
-    split into its connected pieces once, for both the witness and the
-    A-D-E labels, and each piece's witness system is solved once for the
-    atlas; that one elimination also finds the piece negative definite."""
+    """One chamber per negative definite subset, each record joined from
+    facts worked out once per distinct connected piece of its support (the
+    restricted Gram is block diagonal over the pieces): the witness
+    coefficients, from one elimination that also finds the piece negative
+    definite, the A-D-E label and the first pair meeting in one point.  The
+    witness checks run on every record.  W_S lies in Z_S unless a curve c
+    outside S meets S and S + {c} is in the family."""
     supports = negative_definite_subsets(m)
-    family = frozenset(frozenset(s) for s in supports)
-    solved: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    family = set(supports)
+    g = model.curve_gram(m)
+    facts: dict = {}  # piece -> (witness coefficients, A-D-E label, first pair meeting once)
     records = []
     for s in supports:
         pieces = _curve_components(m, s)
-        witness = model.ample_divisor(m) if not s else weyl_witness(m, s, solved, pieces)
+        for piece in pieces:
+            if piece not in facts:
+                sol = _solve_piece(m, piece)
+                require(sol is not None, "zariski atlas: a piece is not negative definite")
+                facts[piece] = (sol, _piece_label(g, piece), _pair_meeting_once(g, piece))
+        c = next((c for c in _curves_meeting(g, s) if tuple(sorted(s + (c,))) in family), None)
+        pair = min((facts[p][2] for p in pieces if facts[p][2]), default=None)
         records.append(
             ChamberRecord(
                 support=s,
-                witness=witness,
-                ade=classify_ade(m, s, family, pieces),
-                weyl_in_zariski=weyl_in_zariski(m, s, family),
-                zariski_interior_in_weyl=zariski_interior_in_weyl(m, s, family),
+                witness=_join_witness(m, s, pieces, [facts[p][0] for p in pieces])
+                if s else model.ample_divisor(m),
+                ade=tuple(facts[p][1] for p in pieces),
+                weyl_in_zariski=InclusionVerdict(c is None, c),
+                zariski_interior_in_weyl=InteriorInclusionVerdict(pair is None, pair),
             )
         )
     return ChamberAtlas(ChamberKind.ZARISKI, tuple(records))
@@ -398,42 +395,24 @@ def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> B
 # ---------------------------------------------------------------------------
 
 
-def weyl_witness(
-    m: SurfaceModel,
-    s,
-    solved: dict[tuple[int, ...], tuple[Fraction, ...]] | None = None,
-    pieces: list[tuple[int, ...]] | None = None,
-) -> DivisorClass:
-    """The divisor D = H + sum(a_i C_i) with D . C_j = -1 for all j in s.
-
-    The solve is against the negative definite restricted Gram; the inverse
-    has nonpositive entries, so the coefficients come out nonnegative, and
-    D meets every curve outside s positively.  The restricted Gram is block
-    diagonal over the connected pieces of s, so s is negative definite iff
-    every piece is, and each piece is tested and solved by one elimination
-    of its own; ``solved`` maps pieces to their solutions, to be filled and
-    reused across calls, and ``pieces`` is the split of s when the caller
-    has it.  Both checks below run on every call, whatever was reused.
-    """
-    s = tuple(sorted(set(s)))
-    if not s:
-        raise ValueError("witness construction needs a nonempty support")
-    if solved is None:
-        solved = {}
+def _solve_piece(m: SurfaceModel, piece: tuple[int, ...]) -> tuple[Fraction, ...] | None:
+    """The coefficients a_j, j in the connected piece, with
+    (H + sum(a_j C_j)) . C_k = -1 for every k in it, or None when the piece
+    is not negative definite: one elimination tests and solves."""
     h = model.ample_pairings(m)
+    sols = linalg.solve_negative_definite(
+        model.restrict_gram(m, piece), [[Fraction(-1) - h[j] for j in piece]]
+    )
+    return None if sols is None else sols[0]
+
+
+def _join_witness(m: SurfaceModel, s: tuple[int, ...], pieces, sols) -> DivisorClass:
+    """D = H + sum(a_i C_i) from the solutions of the connected pieces of s,
+    checked to meet s in -1 and every other curve positively.  The pieces
+    are orthogonal, so each one's solution holds in the join; the checks run
+    anyway, also under ``python -O``."""
     a = [Fraction(0)] * model.curve_count(m)
-    if pieces is None:
-        model.check_curve_indices(m, s)  # the split reads the Gram by index
-        pieces = _curve_components(m, s)
-    for piece in pieces:
-        sol = solved.get(piece)
-        if sol is None:
-            sols = linalg.solve_negative_definite(
-                model.restrict_gram(m, piece), [[Fraction(-1) - h[j] for j in piece]]
-            )
-            if sols is None:
-                raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
-            sol = solved[piece] = sols[0]
+    for piece, sol in zip(pieces, sols):
         for j, x in zip(piece, sol):
             a[j] = x
     require(all(x >= 0 for x in a), "weyl_witness: negative coefficient")
@@ -446,6 +425,27 @@ def weyl_witness(
         "weyl_witness: nonpositive pairing outside the support",
     )
     return d
+
+
+def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
+    """The divisor D = H + sum(a_i C_i) with D . C_j = -1 for all j in s.
+
+    The solve is against the negative definite restricted Gram; the inverse
+    has nonpositive entries, so the coefficients come out nonnegative, and
+    D meets every curve outside s positively.  The restricted Gram is block
+    diagonal over the connected pieces of s, so s is negative definite iff
+    every piece is: each piece is tested and solved by one elimination of
+    its own, and the pieces' solutions are joined.
+    """
+    s = tuple(sorted(set(s)))
+    if not s:
+        raise ValueError("witness construction needs a nonempty support")
+    model.check_curve_indices(m, s)  # the split reads the Gram by index
+    pieces = _curve_components(m, s)
+    sols = [_solve_piece(m, piece) for piece in pieces]
+    if None in sols:
+        raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
+    return _join_witness(m, s, pieces, sols)
 
 
 def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:
@@ -517,46 +517,45 @@ def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
+def _pair_meeting_once(g, curves) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of the sorted curves with
+    C_i . C_j = 1, or None."""
+    return next(((i, j) for i, j in combinations(curves, 2) if g[i][j] == 1), None)
+
+
+def _curves_meeting(g, s: tuple[int, ...]):
+    """The curves outside s that meet some curve of s, in index order."""
+    return (c for c in range(len(g)) if c not in s and any(g[c][i] for i in s))
+
+
 def decompositions_coincide(m: SurfaceModel) -> CoincidenceReport:
     """The decompositions coincide exactly when no two listed curves meet in
     one point; otherwise the first offending pair is certified with a
     divisor whose Weyl and Zariski signatures differ."""
-    g = model.curve_gram(m)
-    n = model.curve_count(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] == 1:
-                return CoincidenceReport(False, (i, j), divergence_witness(m, i, j))
-    return CoincidenceReport(True, None, None)
+    pair = _pair_meeting_once(model.curve_gram(m), range(model.curve_count(m)))
+    if pair is None:
+        return CoincidenceReport(True, None, None)
+    return CoincidenceReport(False, pair, divergence_witness(m, *pair))
 
 
-def weyl_in_zariski(m: SurfaceModel, s, nd_family: NDFamily | None = None) -> InclusionVerdict:
+def weyl_in_zariski(m: SurfaceModel, s) -> InclusionVerdict:
     """W_s is contained in Z_s iff every curve outside s that keeps the
     support negative definite is orthogonal to all of s."""
     s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s, nd_family)
-    g = model.curve_gram(m)
-    for c in range(model.curve_count(m)):
-        if c in s:
-            continue
-        if _is_negative_definite(m, s + (c,), nd_family):
-            if any(g[c][i] != 0 for i in s):
-                return InclusionVerdict(False, c)
+    _require_negative_definite(m, s)
+    for c in _curves_meeting(model.curve_gram(m), s):
+        if linalg.is_negative_definite(model.restrict_gram(m, s + (c,))):
+            return InclusionVerdict(False, c)
     return InclusionVerdict(True, None)
 
 
-def zariski_interior_in_weyl(
-    m: SurfaceModel, s, nd_family: NDFamily | None = None
-) -> InteriorInclusionVerdict:
+def zariski_interior_in_weyl(m: SurfaceModel, s) -> InteriorInclusionVerdict:
     """int(Z_s) is contained in W_s iff no two curves of s meet in one
     point."""
     s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s, nd_family)
-    g = model.curve_gram(m)
-    for i, j in combinations(s, 2):
-        if g[i][j] == 1:
-            return InteriorInclusionVerdict(False, (i, j))
-    return InteriorInclusionVerdict(True, None)
+    _require_negative_definite(m, s)
+    pair = _pair_meeting_once(model.curve_gram(m), s)
+    return InteriorInclusionVerdict(pair is None, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -606,25 +605,24 @@ def _classify_component(nodes, adj) -> str:
     raise UnrecognizedDiagram("arm lengths %r" % (arms,))
 
 
-def classify_ade(
-    m: SurfaceModel,
-    s,
-    nd_family: NDFamily | None = None,
-    pieces: list[tuple[int, ...]] | None = None,
-) -> tuple[str, ...]:
-    """Split a negative definite support into its connected pieces and name
-    each simply-laced Dynkin diagram.  Pieces are reported in order of their
-    smallest curve index; ``pieces`` is that split when the caller has it."""
-    s = tuple(sorted(set(s)))
-    _require_negative_definite(m, s, nd_family)
-    g = model.curve_gram(m)
-    for i, j in combinations(s, 2):
+def _piece_label(g, piece: tuple[int, ...]) -> str:
+    """The Dynkin diagram of one connected piece of a negative definite set,
+    whose curves must pair in 0 or 1."""
+    for i, j in combinations(piece, 2):
         if g[i][j] not in (0, 1):
             raise UnrecognizedDiagram("pairing %s within a negative definite set" % g[i][j])
-    return tuple(
-        _classify_component(piece, {v: {w for w in piece if w != v and g[v][w]} for v in piece})
-        for piece in (_curve_components(m, s) if pieces is None else pieces)
-    )
+    return _classify_component(piece, {v: {w for w in piece if w != v and g[v][w]} for v in piece})
+
+
+def classify_ade(m: SurfaceModel, s) -> tuple[str, ...]:
+    """Split a negative definite support into its connected pieces and name
+    each one's simply-laced Dynkin diagram, in order of the pieces' smallest
+    curve index.  Curves of different pieces do not meet, so each piece is
+    labelled on its own."""
+    s = tuple(sorted(set(s)))
+    _require_negative_definite(m, s)
+    g = model.curve_gram(m)
+    return tuple(_piece_label(g, piece) for piece in _curve_components(m, s))
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,15 @@ def _rat_from_json(value) -> Fraction:
     return x
 
 
+def _json_array(value, what: str) -> list:
+    """``value`` when it is a JSON array.  A string or an object in its place
+    would otherwise be read item by item, as if its characters or keys were
+    the entries."""
+    if not isinstance(value, list):
+        raise InvalidModel("%s must be a JSON array" % what)
+    return value
+
+
 def _parse_rat(value) -> Fraction:
     if isinstance(value, bool):
         raise InvalidModel("boolean is not a rational number")
@@ -472,14 +481,21 @@ def model_from_document(doc) -> SurfaceModel:
         raise InvalidModel("model document must be a JSON object")
     try:
         mode = Mode(doc["mode"])
-        gram = linalg.mat([[_rat_from_json(x) for x in row] for row in doc["gram"]])
+        gram = linalg.mat([
+            [_rat_from_json(x) for x in _json_array(row, 'each "gram" row')]
+            for row in _json_array(doc["gram"], '"gram"')
+        ])
         curves = []
         for c in doc["curves"]:
             if not isinstance(c, dict):
                 raise InvalidModel("curve entry %r is not a JSON object" % (c,))
             coords = c.get("coords")
             curves.append(
-                Curve(str(c["name"]), None if coords is None else tuple(_rat_from_json(x) for x in coords))
+                Curve(
+                    str(c["name"]),
+                    None if coords is None
+                    else tuple(_rat_from_json(x) for x in _json_array(coords, 'curve "coords"')),
+                )
             )
         ample = doc["ample"]
         if mode is Mode.FULL_LATTICE:
@@ -487,13 +503,15 @@ def model_from_document(doc) -> SurfaceModel:
                 mode=mode,
                 gram=gram,
                 curves=tuple(curves),
-                ample_coords=tuple(_rat_from_json(x) for x in ample["coords"]),
+                ample_coords=tuple(
+                    _rat_from_json(x) for x in _json_array(ample["coords"], 'ample "coords"')
+                ),
             )
         return SurfaceModel(
             mode=mode,
             gram=gram,
             curves=tuple(curves),
-            ample_dots=tuple(_rat_from_json(x) for x in ample["dots"]),
+            ample_dots=tuple(_rat_from_json(x) for x in _json_array(ample["dots"], 'ample "dots"')),
             ample_self=_rat_from_json(ample["self"]),
         )
     except InvalidModel:
@@ -554,12 +572,13 @@ def divisor_from_document(m: SurfaceModel, doc) -> DivisorClass:
         if "coords" in doc:
             if m.mode is not Mode.FULL_LATTICE:
                 raise InvalidModel("coordinate divisors need a full-lattice model")
-            d = DivisorClass(coords=tuple(_rat_from_json(x) for x in doc["coords"]))
+            coords = _json_array(doc["coords"], 'divisor "coords"')
+            d = DivisorClass(coords=tuple(_rat_from_json(x) for x in coords))
         else:
             d = divisor_from_ample_and_curves(
                 m,
                 _rat_from_json(doc["t"]),
-                [_rat_from_json(x) for x in doc["a"]],
+                [_rat_from_json(x) for x in _json_array(doc["a"], 'divisor "a"')],
             )
     except (InvalidModel, ModeMismatch):
         raise

@@ -425,8 +425,9 @@ def test_configuration_mode_signatures(quartic):
 
 
 def test_zariski_atlas_tests_definiteness_only_in_the_search(monkeypatch):
-    """Witness, criteria and A-D-E classification decide definiteness by
-    membership in the family the hereditary search found."""
+    """Past the search, the records test no set for definiteness: W_S in
+    Z_S is decided by membership in the family the search found, and each
+    piece's witness solve tests that piece."""
     m = gallery.random_configuration(3, 7, 0.2)
     calls = []
     original = linalg.is_negative_definite
@@ -509,20 +510,38 @@ def test_one_elimination_tests_definiteness_and_solves(monkeypatch, quartic):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_family_membership_matches_the_guarded_criteria(seed):
+    """The atlas decides W_S in Z_S by membership in its family and joins
+    the rest of each record from the pieces of S; every record equals what
+    the single-support functions give, which test definiteness themselves."""
     m = gallery.random_configuration(seed, 6, 0.4)
-    family = frozenset(frozenset(s) for s in negative_definite_subsets(m))
-    for s in negative_definite_subsets(m):
-        assert weyl_in_zariski(m, s, family) == weyl_in_zariski(m, s)
-        assert zariski_interior_in_weyl(m, s, family) == zariski_interior_in_weyl(m, s)
-        assert classify_ade(m, s, family) == classify_ade(m, s)
+    for r in enumerate_zariski_chambers(m).records:
+        s = r.support
+        assert r.ade == classify_ade(m, s)
+        assert r.weyl_in_zariski == weyl_in_zariski(m, s)
+        assert r.zariski_interior_in_weyl == zariski_interior_in_weyl(m, s)
+        assert r.witness == (weyl_witness(m, s) if s else model.ample_divisor(m))
 
 
-def test_family_membership_rejects_a_set_outside_the_family(quartic):
-    m = quartic.model
-    family = frozenset(frozenset(s) for s in negative_definite_subsets(m))
-    for criterion in (weyl_in_zariski, zariski_interior_in_weyl, classify_ade):
-        with pytest.raises(NotNegativeDefinite):
-            criterion(m, (0, 2), family)
+def test_zariski_atlas_solves_each_distinct_piece_once(monkeypatch):
+    """Beyond the search's definiteness tests, the atlas runs one
+    elimination per distinct connected piece of its supports, however many
+    supports share that piece."""
+    m = gallery.random_configuration(0, 8, 0.2)
+    occurrences = [
+        p for s in negative_definite_subsets(m) for p in chambers._curve_components(m, s)
+    ]
+    distinct = set(occurrences)
+    assert len(occurrences) > len(distinct) > 1
+    calls = []
+    real = linalg.solve_negative_definite
+    monkeypatch.setattr(
+        linalg, "solve_negative_definite", lambda s, rhs=(): calls.append(s) or real(s, rhs)
+    )
+    negative_definite_subsets(m)
+    in_search = len(calls)
+    calls.clear()
+    enumerate_zariski_chambers(m)
+    assert len(calls) == in_search + len(distinct)
 
 
 def test_weyl_atlas_witnesses_match_fresh_sign_systems():

@@ -73,6 +73,53 @@ def test_non_object_curve_entry_exits_2(capsys, tmp_path, curves):
     assert json.loads(out)["error"]["code"] == "invalid_model"
 
 
+def test_string_divisor_coords_exit_2(capsys, quartic_file):
+    """A string where the coordinates belong is refused, not read as the
+    divisor [5, 7, 2] digit by digit."""
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, '{"coords":"572"}')
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "invalid_model", "message": 'divisor "coords" must be a JSON array'
+    }
+
+
+def test_string_ample_dots_fail_validate(capsys, tmp_path):
+    doc = model.model_to_document(model.to_configuration(gallery.quartic_example().model))
+    doc["ample"]["dots"] = "541"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "invalid_model", "message": 'ample "dots" must be a JSON array'
+    }
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda doc: doc.update(gram="-2"),
+    lambda doc: doc["gram"].__setitem__(0, {"-2": 1}),
+    lambda doc: doc["curves"][0].update(coords="101"),
+    lambda doc: doc["ample"].update(coords="112"),
+], ids=["gram", "gram-row", "curve-coords", "ample-coords"])
+def test_non_array_in_a_model_exits_2(capsys, tmp_path, spoil):
+    doc = model.model_to_document(gallery.quartic_example().model)
+    spoil(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "must be a JSON array" in json.loads(out)["error"]["message"]
+
+
+def test_string_divisor_a_exits_2(capsys, tmp_path):
+    cfg = model.to_configuration(gallery.quartic_example().model)
+    path = tmp_path / "cfg.json"
+    path.write_text(model.model_to_json(cfg))
+    code, out, _ = run_cli(capsys, "decompose", str(path), '{"t": 1, "a": "350"}')
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == 'divisor "a" must be a JSON array'
+
+
 def test_decompose_report(capsys, quartic_file):
     code, out, err = run_cli(capsys, "decompose", quartic_file, "[5,2,2]")
     assert code == 0
