@@ -237,6 +237,7 @@ def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
                 require(sol is not None, "zariski atlas: a piece is not negative definite")
                 facts[piece] = (sol, _piece_label(g, piece), _pair_meeting_once(g, piece))
         c = next((c for c in _curves_meeting(g, s) if tuple(sorted(s + (c,))) in family), None)
+        # curves of different pieces do not meet: the least piece pair is s's first
         pair = min((facts[p][2] for p in pieces if facts[p][2]), default=None)
         records.append(
             ChamberRecord(
