@@ -6,10 +6,12 @@ them.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
-from k3chambers import cli
+from k3chambers import cli, linalg
 
 MODELS = {
     "quartic.json": ["gallery", "quartic"],
@@ -19,6 +21,28 @@ MODELS = {
     "random9-3.json": ["random", "--seed", "3", "--n", "9", "--density", "0.2"],
     "random12.json": ["random", "--seed", "148", "--n", "12", "--density", "0.2"],
     "random12-sparse.json": ["random", "--seed", "0", "--n", "12", "--density", "0.1"],
+}
+
+# curve names that the report must escape: non-ASCII, non-BMP, a quote, a
+# backslash, a control character and the lone surrogate that Python reads an
+# undecodable command-line byte as
+ESCAPE_NAMES = ["\u00e9t\u00e9", "q\"b\\s", "x\udcff", "\U0001d538\t"]
+
+FILES = {
+    "escape.json": json.dumps({
+        "mode": "configuration",
+        "gram": [[-2, 1, 0, 0], [1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]],
+        "curves": [{"name": name} for name in ESCAPE_NAMES],
+        "ample": {"dots": [1, 1, 1, 1], "self": 4},
+    }),
+    # the quartic with its first line moved off the lattice basis
+    "invalid.json": json.dumps({
+        "mode": "full_lattice",
+        "gram": [[-2, 1, 2], [1, -2, 2], [2, 2, -2]],
+        "curves": [{"name": "L1", "coords": [1, 0, 1]}, {"name": "L2", "coords": [0, 1, 0]},
+                   {"name": "C", "coords": [0, 0, 1]}],
+        "ample": {"coords": [1, 1, 1]},
+    }),
 }
 
 STDOUT_DIGESTS = {
@@ -63,11 +87,62 @@ STDOUT_DIGESTS = {
         ["decompose", "quartic.json", "[5,7,2]"],
         "3c9739d2b86d1afdb39be98313616b65a2501fb0fe4de96aeffd8238c2db62cc",
     ),
+    "compare quartic": (
+        ["compare", "quartic.json"],
+        "bff7626bd2cabc81a4eb52e7c9b7155b521687773806af03c0fca49381e7832e",
+    ),
+    "criteria quartic": (
+        ["criteria", "quartic.json", "L1", "L2"],
+        "09bcaef5678b912b1412ef7efba38c6f910ff85b06c6ce6402e14de609df3f69",
+    ),
+    "witness quartic": (
+        ["witness", "quartic.json", "L1", "L2"],
+        "8cadce3fcecbd1d4d3e959ed8833e092c046cdba3dd3d8a59acec6c87768d637",
+    ),
+    "validate quartic": (
+        ["validate", "quartic.json"],
+        "50241d6077d4c546b13a255fcfb8aefffc320605189b44a2e65eea5edd72f130",
+    ),
+    "gallery double-cover": (
+        ["gallery", "double-cover"],
+        "492e049e540c1260a1b8e986de9b9874b992256eee38b44c7c2e3d4767c2fac2",
+    ),
+    "random seed 0 n 6": (
+        ["random", "--seed", "0", "--n", "6"],
+        "71719e2e9fad59dd44c486142886ad31f291c9ac53d0f525fc0361d686429850",
+    ),
+    "criteria escaped names": (
+        ["criteria", "escape.json", *ESCAPE_NAMES],
+        "f1e335fca4b1148d24702cb594e9f3ab7fe8d078765e91c3f8bfcab7f00b91e1",
+    ),
     "plot quartic": (
         ["plot", "quartic.json", "--res", "40", "-o", "plot.svg"],
         "f3999e607666405aafcc52183a37d91d6357f5ac6f9b55b4c8eb42c39bf796b8",
     ),
 }
+
+# reports of the failing exits: (argv, exit code, digest)
+ERROR_DIGESTS = {
+    "validate invalid": (
+        ["validate", "invalid.json"],
+        2,
+        "d0ff3ea01ce501057c9f4a91ed23a02ae65048d22aed071e2a77af4e5ebb9fb6",
+    ),
+    # the message lists the known names, unescaped
+    "criteria unknown name": (
+        ["criteria", "escape.json", "nosuch"],
+        2,
+        "f16ddfa3e81bf19dd8091dc909248a06321cad761125be8f2008b242382422f9",
+    ),
+    "criteria not negative definite": (
+        ["criteria", "quartic.json", "L1", "C"],
+        3,
+        "61398a29b181f0f3cf47aa7a9f97296aadbd0aa0cc0688bec3b38f3d20131512",
+    ),
+}
+
+# the report of a witness whose solve comes back negative
+INVARIANT_DIGEST = "fb909dca0dc8a7b6e6bd182456605f4686e3d34039ade4eae01a6b12aa689e89"
 
 PLOT_SVG_DIGEST = "3dfc890a14169ec9402246ccc053ff7ba23bc9caf70c3a303283b9bebaec331e"
 
@@ -82,6 +157,8 @@ def model_dir(tmp_path, monkeypatch, capsys):
     for name, argv in MODELS.items():
         assert cli.main(argv) == 0
         (tmp_path / name).write_text(capsys.readouterr().out)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
     return tmp_path
 
 
@@ -95,3 +172,22 @@ def test_stdout_digest(case, model_dir, capsys):
 def test_plot_svg_digest(model_dir, capsys):
     assert cli.main(STDOUT_DIGESTS["plot quartic"][0]) == 0
     assert _sha256((model_dir / "plot.svg").read_bytes()) == PLOT_SVG_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_DIGESTS))
+def test_error_digest(case, model_dir, capsys):
+    argv, code, digest = ERROR_DIGESTS[case]
+    assert cli.main(argv) == code
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+def test_internal_invariant_digest(model_dir, capsys, monkeypatch):
+    real = linalg.solve_negative_definite
+
+    def wrong(s, rhs=()):
+        sols = real(s, rhs)
+        return sols if sols is None else tuple(tuple(Fraction(-1) for _ in b) for b in rhs)
+
+    monkeypatch.setattr(linalg, "solve_negative_definite", wrong)
+    assert cli.main(["witness", "quartic.json", "L1"]) == 4
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == INVARIANT_DIGEST
