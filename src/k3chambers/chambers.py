@@ -13,7 +13,10 @@ Both families are products over the connected components of the curve
 graph, and each enumeration runs once per component.  The Zariski side
 takes its components from the curve Gram: a set is negative definite iff
 its part in every component is, so the hereditary search runs inside each
-component, and each witness is solved piece by piece.  The Weyl side takes
+component, and each witness is solved piece by piece: a piece's solution
+is checked to be >= 0 and its pairings with every curve are taken once, as
+integers over one denominator, so each witness is checked by summing its
+pieces' integer rows and the ample class's.  The Weyl side takes
 its blocks from the nonzero pattern of its sign rows: a sign system
 splits into one system per block and is feasible iff every block system is,
 so each block's 2^|K| patterns are decided once and a chamber's witness
@@ -35,6 +38,7 @@ their A-D-E diagram type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,6 +52,8 @@ from .model import DivisorClass, SurfaceModel
 # largest curve count enumerate_weyl_chambers accepts: it decides sum(2^|K|)
 # sign patterns over its blocks K, and its atlas can still hold 2^n records
 MAX_WEYL_CURVES = 12
+
+_ZERO = Fraction(0)
 
 
 class ChamberKind(Enum):
@@ -221,13 +227,17 @@ def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
     facts worked out once per distinct connected piece of its support (the
     restricted Gram is block diagonal over the pieces): the witness
     coefficients, from one elimination that also finds the piece negative
-    definite, the A-D-E label and the first pair meeting in one point.  The
-    witness checks run on every record.  W_S lies in Z_S unless a curve c
-    outside S meets S and S + {c} is in the family."""
+    definite, checked to be >= 0, with the piece's integer pairing row; the
+    A-D-E label; and the first pair meeting in one point.  Every record's
+    witness is checked on the sum of H's row and its pieces' rows.  W_S
+    lies in Z_S unless a curve c outside S meets S and S + {c} is in the
+    family."""
     supports = negative_definite_subsets(m)
     family = set(supports)
     g = model.curve_gram(m)
-    facts: dict = {}  # piece -> (witness coefficients, A-D-E label, first pair meeting once)
+    ample_row = model.pairing_numerators(m, model.ample_divisor(m))
+    # piece -> (coefficients and integer row, A-D-E label, first pair meeting once)
+    facts: dict = {}
     records = []
     for s in supports:
         pieces = _curve_components(m, s)
@@ -235,14 +245,18 @@ def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
             if piece not in facts:
                 sol = _solve_piece(m, piece)
                 require(sol is not None, "zariski atlas: a piece is not negative definite")
-                facts[piece] = (sol, _piece_label(g, piece), _pair_meeting_once(g, piece))
+                facts[piece] = (
+                    (piece, sol, _piece_row(m, piece, sol)),
+                    _piece_label(g, piece),
+                    _pair_meeting_once(g, piece),
+                )
         c = next((c for c in _curves_meeting(g, s) if tuple(sorted(s + (c,))) in family), None)
         # curves of different pieces do not meet: the least piece pair is s's first
         pair = min((facts[p][2] for p in pieces if facts[p][2]), default=None)
         records.append(
             ChamberRecord(
                 support=s,
-                witness=_join_witness(m, s, pieces, [facts[p][0] for p in pieces])
+                witness=_join_witness(m, s, ample_row, [facts[p][0] for p in pieces])
                 if s else model.ample_divisor(m),
                 ade=tuple(facts[p][1] for p in pieces),
                 weyl_in_zariski=InclusionVerdict(c is None, c),
@@ -407,25 +421,39 @@ def _solve_piece(m: SurfaceModel, piece: tuple[int, ...]) -> tuple[Fraction, ...
     return None if sols is None else sols[0]
 
 
-def _join_witness(m: SurfaceModel, s: tuple[int, ...], pieces, sols) -> DivisorClass:
-    """D = H + sum(a_i C_i) from the solutions of the connected pieces of s,
-    checked to meet s in -1 and every other curve positively.  The pieces
-    are orthogonal, so each one's solution holds in the join; the checks run
-    anyway, also under ``python -O``."""
-    a = [Fraction(0)] * model.curve_count(m)
-    for piece, sol in zip(pieces, sols):
-        for j, x in zip(piece, sol):
-            a[j] = x
-    require(all(x >= 0 for x in a), "weyl_witness: negative coefficient")
-    d = model.divisor_from_ample_and_curves(m, 1, a)
-    # D . C_c = nums[c] / den with den > 0, checked in integers
-    nums, den = model.pairing_numerators(m, d)
+def _piece_row(m: SurfaceModel, piece: tuple[int, ...], sol) -> tuple[tuple[int, ...], int]:
+    """The solution of one connected piece, checked to be >= 0, and the
+    pairings of sum(a_j C_j), j in the piece, with every listed curve, as
+    integer numerators over a denominator > 0."""
+    require(all(x >= 0 for x in sol), "weyl_witness: negative coefficient")
+    a = [_ZERO] * model.curve_count(m)
+    for j, x in zip(piece, sol):
+        a[j] = x
+    return model.pairing_numerators(m, model.divisor_from_ample_and_curves(m, 0, a))
+
+
+def _join_witness(m: SurfaceModel, s: tuple[int, ...], ample_row, parts) -> DivisorClass:
+    """D = H + sum(a_i C_i) from the connected pieces of s, each given as
+    (piece, solution, integer row), checked to meet s in -1 and every other
+    curve positively.  D . C_c is H's row plus the pieces' rows, summed in
+    integers over the lcm of their denominators; the check runs on every
+    call, also under ``python -O``.  The pieces are orthogonal, so each
+    one's solution holds in the join, and the witness is built from the
+    pieces' own coefficients."""
+    rows = [ample_row, *(row for _, _, row in parts)]
+    den = math.lcm(*(d for _, d in rows))
+    scaled = (r if d == den else [x * (den // d) for x in r] for r, d in rows)
+    nums = [sum(col) for col in zip(*scaled)]
     require(all(nums[j] == -den for j in s), "weyl_witness: pairing with the support is not -1")
     require(
         all(x > 0 for c, x in enumerate(nums) if c not in s),
         "weyl_witness: nonpositive pairing outside the support",
     )
-    return d
+    a = [_ZERO] * model.curve_count(m)
+    for piece, sol, _ in parts:
+        for j, x in zip(piece, sol):
+            a[j] = x
+    return model.divisor_from_ample_and_curves(m, 1, a)
 
 
 def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
@@ -436,7 +464,7 @@ def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
     D meets every curve outside s positively.  The restricted Gram is block
     diagonal over the connected pieces of s, so s is negative definite iff
     every piece is: each piece is tested and solved by one elimination of
-    its own, and the pieces' solutions are joined.
+    its own, and the pieces are joined and checked as in the Zariski atlas.
     """
     s = tuple(sorted(set(s)))
     if not s:
@@ -446,7 +474,9 @@ def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
     sols = [_solve_piece(m, piece) for piece in pieces]
     if None in sols:
         raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
-    return _join_witness(m, s, pieces, sols)
+    ample_row = model.pairing_numerators(m, model.ample_divisor(m))
+    parts = [(piece, sol, _piece_row(m, piece, sol)) for piece, sol in zip(pieces, sols)]
+    return _join_witness(m, s, ample_row, parts)
 
 
 def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:

@@ -29,8 +29,10 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 
 def vec(entries: Iterable) -> Vec:
-    """Build an exact rational vector from ints/strings/Fractions."""
-    return tuple(Fraction(x) for x in entries)
+    """Build an exact rational vector from ints/strings/Fractions.  A
+    Fraction is kept as it is (it is immutable); anything else, a Fraction
+    subclass included, goes through ``Fraction()``."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

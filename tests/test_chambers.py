@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -16,7 +17,7 @@ from helpers_oracle import (
     weyl_records_exhaustive,
     zariski_records_brute_force,
 )
-from k3chambers import chambers, gallery, linalg, model, zariski
+from k3chambers import chambers, cli, gallery, linalg, model, zariski
 from k3chambers.chambers import (
     ChamberKind,
     classify_ade,
@@ -544,6 +545,34 @@ def test_zariski_atlas_solves_each_distinct_piece_once(monkeypatch):
     assert len(calls) == in_search + len(distinct)
 
 
+def test_a_wrong_piece_row_fails_every_record_check(monkeypatch, tmp_path, capsys):
+    """Each record's witness is checked on its pieces' integer rows, not on
+    their solutions: with one piece's row off in a single entry and every
+    solution right, ``chambers`` ends in an internal_invariant report.  The
+    check is an explicit raise, so it also holds under ``python -O``."""
+    m = gallery.random_configuration(0, 8, 0.2)
+    path = tmp_path / "pieces.json"
+    path.write_text(model.model_to_json(m))
+    assert cli.main(["chambers", str(path)]) == 0
+    capsys.readouterr()
+    real = chambers._piece_row
+    target = max(p for s in negative_definite_subsets(m) for p in chambers._curve_components(m, s))
+
+    def corrupted(m, piece, sol):
+        nums, den = real(m, piece, sol)
+        if piece != target:
+            return nums, den
+        nums = list(nums)
+        nums[piece[0]] += 1
+        return tuple(nums), den
+
+    monkeypatch.setattr(chambers, "_piece_row", corrupted)
+    assert cli.main(["chambers", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "internal_invariant", "message": "weyl_witness: pairing with the support is not -1",
+    }
+
+
 def test_weyl_atlas_witnesses_match_fresh_sign_systems():
     """The atlas shares one set of sign rows across all patterns; every
     pattern must give what a freshly built system gives."""
@@ -659,6 +688,19 @@ def _component_sizes(m):
     return sorted(sizes)
 
 
+def _full_lattice(m):
+    """A configuration model as a full-lattice model on the basis
+    (H, C_1, ..., C_n), so that its witnesses are built as coordinates."""
+    n = model.curve_count(m)
+    h = model.ample_pairings(m)
+    g = model.curve_gram(m)
+    gram = [[model.ample_square(m), *h], *([h[i], *g[i]] for i in range(n))]
+    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return model.full_lattice_model(
+        gram, [(name, unit[i + 1]) for i, name in enumerate(model.curve_names(m))], unit[0]
+    )
+
+
 def _isolated_curves(n):
     return model.configuration_model(
         [[-2 if i == j else 0 for j in range(n)] for i in range(n)],
@@ -683,6 +725,14 @@ ORACLE_MODELS = {
     "double-cover": lambda: gallery.double_cover_example().model,
     "dense 9/6": lambda: gallery.random_configuration(9, 6, 0.5),
     "dense 4/7": lambda: gallery.random_configuration(4, 7, 0.5),
+    # the gallery surfaces in the other mode, and multi-piece supports in
+    # the full lattice
+    "quartic configuration": lambda: model.to_configuration(gallery.quartic_example().model),
+    "double-cover configuration": lambda: model.to_configuration(
+        gallery.double_cover_example().model
+    ),
+    "full lattice multi 0/8": lambda: _full_lattice(gallery.random_configuration(0, 8, 0.2)),
+    "full lattice multi 1/9": lambda: _full_lattice(gallery.random_configuration(1, 9, 0.2)),
 }
 
 
@@ -690,8 +740,13 @@ def test_oracle_models_cover_the_component_shapes():
     shapes = {name: _component_sizes(make()) for name, make in ORACLE_MODELS.items()}
     assert all(len(shapes["multi %d/%d" % sn]) > 1 for sn in MULTI_COMPONENT)
     assert any(max(s) > 2 and len(s) > 2 for s in shapes.values())
-    for name in ("single 2/6", "single 0/9", "quartic", "double-cover", "dense 9/6", "dense 4/7"):
+    for name in ("single 2/6", "single 0/9", "quartic", "double-cover", "dense 9/6", "dense 4/7",
+                 "quartic configuration", "double-cover configuration"):
         assert len(shapes[name]) == 1, name
+    modes = {name: make().mode for name, make in ORACLE_MODELS.items()}
+    for name in ("quartic", "double-cover", "full lattice multi 0/8", "full lattice multi 1/9"):
+        assert modes[name] is model.Mode.FULL_LATTICE, name
+    assert len(shapes["full lattice multi 0/8"]) > 1 and len(shapes["full lattice multi 1/9"]) > 1
     assert shapes["isolated 4/6"] == [1] * 6 and shapes["isolated 5"] == [1] * 5
     assert shapes["n0"] == [] and shapes["n1"] == [1]
 
