@@ -13,6 +13,11 @@ form (``SurfaceModel.pairing_form``): ``model.pair`` evaluates it, and the
 curve pairings use its curve rows.  The volume of ``decompose`` is the
 ``ZariskiResult.volume`` computed with the decomposition, not a second
 pairing.
+
+Reports are written by ``_emit``, which reproduces ``json.dumps(doc,
+indent=2)`` byte for byte but writes only dict (str keys), list, str, int,
+bool and None; any other value, a float included, is an internal error
+(exit 4) and nothing of that report is written.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import sys
 from pathlib import Path
 
 from . import chambers, gallery, model, plot, zariski
-from .errors import InvalidModel, K3ChambersError
+from .errors import InvalidModel, InvariantViolated, K3ChambersError
 
 SCHEMA_VERSION = 1
 
@@ -34,8 +39,64 @@ _ASSUMPTION_NOTE = (
 )
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, indent: str, out: list) -> None:
+    """Append the parts of ``value`` as ``json.dumps(value, indent=2)``
+    writes it, at the given indent, to ``out``.  Only the JSON types a
+    report is built from are written: dict with str keys, list, str, int,
+    bool and None; anything else, a float included, is an internal error."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise InvariantViolated("report key %r is not a string" % (key,))
+            out.append(sep + _quote(key) + ": ")
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is str for x in value):
+            out.append("[\n" + inner + (",\n" + inner).join(map(_quote, value)))
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise InvariantViolated("report value of type %s is not a JSON type" % kind.__name__)
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Write the report as ``json.dumps(doc, indent=2)`` does, and a
+    newline.  The whole text is built before anything is written, so a
+    report that cannot be written leaves stdout empty for its error."""
+    out: list = []
+    _encode(doc, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _banner() -> None:

@@ -737,3 +737,65 @@ def test_decompose_pairs_twice_and_reports_the_result_volume(capsys, quartic_fil
     assert pairs == [(nef, nef), (nef, model.ample_divisor(m))]
     assert result.volume == real_pair(m, nef, nef)
     assert json.loads(out)["volume"] == str(result.volume)
+
+
+# ---------------------------------------------------------------------------
+# the report emitter
+# ---------------------------------------------------------------------------
+
+# strings with control characters, quotes, backslashes, non-BMP characters
+# and lone surrogates
+_report_text = st.text(
+    alphabet=st.one_of(
+        st.characters(codec=None),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", " ", "\ud800", "\udcff",
+                         "\U0001d538", "\U0010ffff"]),
+    ),
+    max_size=8,
+)
+_report_docs = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(-(10 ** 40), 10 ** 40), _report_text
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_report_text, max_size=4),
+        st.dictionaries(_report_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(_report_docs)
+def test_emit_writes_what_json_dumps_writes(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_edge_values():
+    docs = [{}, [], "", 0, -1, 10 ** 300, True, None, {"": []}, [[], {}, [[]]], {"a": {"b": {}}},
+            ["x", "\ud800"], {"\udcff": "\U0001d538\"\\\x1f"}]
+    for doc in docs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n", doc
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": [1, 2.5]},  # no floats in reports
+    {"a": (1, 2)},
+    {"a": {1: "x"}},
+    {"a": ["x", ("y",)]},
+    {"a": Fraction(1, 2)},
+])
+def test_a_report_that_is_not_json_exits_4(capsys, monkeypatch, bad):
+    """A value that a report may not hold ends in an internal_invariant
+    report, alone on stdout, not in a traceback or a partial report."""
+    monkeypatch.setattr(model, "model_to_document", lambda m: {"schema_version": 1, **bad})
+    code, out, _ = run_cli(capsys, "gallery", "quartic")
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
