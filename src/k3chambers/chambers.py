@@ -53,8 +53,6 @@ from .model import DivisorClass, SurfaceModel
 # sign patterns over its blocks K, and its atlas can still hold 2^n records
 MAX_WEYL_CURVES = 12
 
-_ZERO = Fraction(0)
-
 
 class ChamberKind(Enum):
     ZARISKI = "zariski"
@@ -426,7 +424,7 @@ def _piece_row(m: SurfaceModel, piece: tuple[int, ...], sol) -> tuple[tuple[int,
     pairings of sum(a_j C_j), j in the piece, with every listed curve, as
     integer numerators over a denominator > 0."""
     require(all(x >= 0 for x in sol), "weyl_witness: negative coefficient")
-    a = [_ZERO] * model.curve_count(m)
+    a = [Fraction(0)] * model.curve_count(m)
     for j, x in zip(piece, sol):
         a[j] = x
     return model.pairing_numerators(m, model.divisor_from_ample_and_curves(m, 0, a))
@@ -449,7 +447,7 @@ def _join_witness(m: SurfaceModel, s: tuple[int, ...], ample_row, parts) -> Divi
         all(x > 0 for c, x in enumerate(nums) if c not in s),
         "weyl_witness: nonpositive pairing outside the support",
     )
-    a = [_ZERO] * model.curve_count(m)
+    a = [Fraction(0)] * model.curve_count(m)
     for piece, sol, _ in parts:
         for j, x in zip(piece, sol):
             a[j] = x

@@ -84,7 +84,7 @@ def _encode(value, indent: str, out: list) -> None:
     elif value is False:
         out.append("false")
     elif kind is int:
-        out.append(int.__repr__(value))
+        out.append(repr(value))
     else:
         raise InvariantViolated("report value of type %s is not a JSON type" % kind.__name__)
 
