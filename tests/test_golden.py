@@ -21,6 +21,8 @@ MODELS = {
     "random9-3.json": ["random", "--seed", "3", "--n", "9", "--density", "0.2"],
     "random12.json": ["random", "--seed", "148", "--n", "12", "--density", "0.2"],
     "random12-sparse.json": ["random", "--seed", "0", "--n", "12", "--density", "0.1"],
+    # the configuration model of the benchmark's plots
+    "random6.json": ["random", "--seed", "0", "--n", "6", "--density", "0.2"],
 }
 
 # curve names that the report must escape: non-ASCII, non-BMP, a quote, a
@@ -133,6 +135,30 @@ STDOUT_DIGESTS = {
         ["plot", "quartic.json", "--res", "40", "-o", "plot.svg"],
         "f3999e607666405aafcc52183a37d91d6357f5ac6f9b55b4c8eb42c39bf796b8",
     ),
+    "plot quartic weyl": (
+        ["plot", "quartic.json", "--res", "40", "--mode", "weyl", "-o", "plot.svg"],
+        "496330f7b5103ffd90d34ad2eae367dc0acdd487bf62d8b8b4f714ce1367f946",
+    ),
+    "plot quartic zariski": (
+        ["plot", "quartic.json", "--res", "40", "--mode", "zariski", "-o", "plot.svg"],
+        "a67d2cd55fd6d5ef3f3eff93d525f02e788ac938736083513fa0e78a4583b8e4",
+    ),
+    # corners with L1-pairings (0, 1, -1): samples with equal second and
+    # third weights lie on the L1 wall and are drawn gray
+    "plot quartic wall corners": (
+        ["plot", "quartic.json", "--res", "40", "-o", "plot.svg",
+         "--corners", "[2,2,1]", "[1,1,1]", "[4,3,2]"],
+        "acb73197f424569202bae3e062abcab570e5417c5d6c5599a755d5fe961d0a39",
+    ),
+    "plot double-cover": (
+        ["plot", "double-cover.json", "--res", "40", "-o", "plot.svg"],
+        "e86d0741a6e2e45848a3012b85ebcbe2e308e939b2d3db5a87ed20d94758eb06",
+    ),
+    # configuration mode, default corners H + C_i
+    "plot random n6": (
+        ["plot", "random6.json", "--res", "40", "-o", "plot.svg"],
+        "02c2e66be1592cd73164ad492c5f7e7be1edec19b4dfcf31d16aa670248d4208",
+    ),
 }
 
 EXIT_CODES = {
@@ -144,7 +170,15 @@ EXIT_CODES = {
 # the report of a witness whose solve comes back negative (exit 4)
 INVARIANT_DIGEST = "fb909dca0dc8a7b6e6bd182456605f4686e3d34039ade4eae01a6b12aa689e89"
 
-PLOT_SVG_DIGEST = "3dfc890a14169ec9402246ccc053ff7ba23bc9caf70c3a303283b9bebaec331e"
+# the SVG that each plot case of STDOUT_DIGESTS writes
+PLOT_SVG_DIGESTS = {
+    "plot quartic": "3dfc890a14169ec9402246ccc053ff7ba23bc9caf70c3a303283b9bebaec331e",
+    "plot quartic weyl": "1590627faa4ed8260709a8174bcb70f840773eba7cab8da05b6044aa201d98cb",
+    "plot quartic zariski": "5656aeca4c30b0ad993c7deff2007467231edb4612df80b4c318e4b39e42feb4",
+    "plot quartic wall corners": "838429a1a8a688075a4aaab36f137b230e3d9ed4932dcda370bb466911df0998",
+    "plot double-cover": "0e5437105d0b3a7fae742bdc0a70600303e2eff46defa95900ec7b671308f7a3",
+    "plot random n6": "a032269917e15f300a1505210c4cc10c1066953500774ee3d8e5053294748590",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -169,9 +203,10 @@ def test_stdout_digest(case, model_dir, capsys):
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
-def test_plot_svg_digest(model_dir, capsys):
-    assert cli.main(STDOUT_DIGESTS["plot quartic"][0]) == 0
-    assert _sha256((model_dir / "plot.svg").read_bytes()) == PLOT_SVG_DIGEST
+@pytest.mark.parametrize("case", sorted(PLOT_SVG_DIGESTS))
+def test_plot_svg_digest(case, model_dir, capsys):
+    assert cli.main(STDOUT_DIGESTS[case][0]) == 0
+    assert _sha256((model_dir / "plot.svg").read_bytes()) == PLOT_SVG_DIGESTS[case]
 
 
 def test_internal_invariant_digest(model_dir, capsys, monkeypatch):
