@@ -101,9 +101,6 @@ class ChamberAtlas:
     def supports(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r.support for r in self.records)
 
-    def family(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(s) for s in self.supports)
-
 
 @dataclass(frozen=True)
 class BijectionReport:
@@ -482,7 +479,8 @@ def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:
     {i, j} while its Weyl support is {j}.
 
     Solve (H + x_1 C_i + x_2 C_j) . C = 0 on the pair, then take
-    D = H + (x_1 + 1) C_i + (x_2 + 3) C_j.
+    D = H + (x_1 + 1) C_i + (x_2 + 3) C_j.  Its sign pattern (negative on
+    C_j, positive on every other curve) is checked in integers per call.
     """
     g = model.curve_gram(m)
     if i == j or g[i][j] != 1:
@@ -494,7 +492,13 @@ def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:
     a = [Fraction(0)] * model.curve_count(m)
     a[i] = x[i] + 1
     a[j] = x[j] + 3
-    return model.divisor_from_ample_and_curves(m, 1, a)
+    d = model.divisor_from_ample_and_curves(m, 1, a)
+    nums, _ = model.pairing_numerators(m, d)
+    require(
+        nums[j] < 0 and all(v > 0 for c, v in enumerate(nums) if c != j),
+        "divergence_witness: Weyl support is not {%d}" % j,
+    )
+    return d
 
 
 def weyl_only_witness(m: SurfaceModel, s, cprime: int) -> DivisorClass:

@@ -43,10 +43,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def dim(m: Mat) -> int:
-    return len(m)
-
-
 def is_symmetric(m: Mat) -> bool:
     n = len(m)
     if any(len(r) != n for r in m):
@@ -73,16 +69,8 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
     return tuple(c * x for x in v)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 def over_common_denominator(v: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:

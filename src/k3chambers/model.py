@@ -183,13 +183,13 @@ def ample_square(m: SurfaceModel) -> Fraction:
 
 def ample_divisor(m: SurfaceModel) -> DivisorClass:
     if m.mode is Mode.CONFIGURATION:
-        return config_divisor(1, linalg.zero_vec(curve_count(m)))
+        return config_divisor(1, (Fraction(0),) * curve_count(m))
     return DivisorClass(coords=m.ample_coords)
 
 
 def _check_divisor(m: SurfaceModel, d: DivisorClass) -> None:
     if m.mode is Mode.FULL_LATTICE:
-        if d.coords is None or len(d.coords) != linalg.dim(m.gram):
+        if d.coords is None or len(d.coords) != len(m.gram):
             raise ModeMismatch("divisor does not match a full-lattice model")
     else:
         if d.ample_coeff is None or d.curve_coeffs is None:
@@ -198,9 +198,11 @@ def _check_divisor(m: SurfaceModel, d: DivisorClass) -> None:
             raise ModeMismatch("curve coefficient count mismatch")
 
 
-def _vector(m: SurfaceModel, d: DivisorClass) -> Sequence[Fraction]:
-    """The vector ``v`` of a checked divisor: its coordinates (full lattice)
-    or ``(t, a_1, ..., a_n)`` (configuration)."""
+def vector(m: SurfaceModel, d: DivisorClass) -> Sequence[Fraction]:
+    """The vector ``v`` of a divisor: its coordinates (full lattice) or
+    ``(t, a_1, ..., a_n)`` (configuration).  Raises ModeMismatch unless the
+    divisor matches the model."""
+    _check_divisor(m, d)
     if m.mode is Mode.FULL_LATTICE:
         return d.coords
     return (d.ample_coeff, *d.curve_coeffs)
@@ -209,11 +211,9 @@ def _vector(m: SurfaceModel, d: DivisorClass) -> Sequence[Fraction]:
 def pair(m: SurfaceModel, d1: DivisorClass, d2: DivisorClass) -> Fraction:
     """Exact intersection number of two divisor classes: one integer
     bilinear form over the two divisors' common denominators."""
-    _check_divisor(m, d1)
-    _check_divisor(m, d2)
     form, q = m.pairing_form
-    w1, den1 = linalg.over_common_denominator(_vector(m, d1))
-    w2, den2 = linalg.over_common_denominator(_vector(m, d2))
+    w1, den1 = linalg.over_common_denominator(vector(m, d1))
+    w2, den2 = linalg.over_common_denominator(vector(m, d2))
     total = sum(x * sum(map(mul, row, w2)) for x, row in zip(w1, form) if x)
     return Fraction(total, q * den1 * den2)
 
@@ -240,8 +240,7 @@ def _pairing_numerators(m: SurfaceModel, v: Sequence[Fraction]) -> tuple[tuple[i
 def pairing_numerators(m: SurfaceModel, d: DivisorClass) -> tuple[tuple[int, ...], int]:
     """D . C_i = n_i / den for every listed curve, as the integers and the
     denominator ``den > 0``."""
-    _check_divisor(m, d)
-    return _pairing_numerators(m, _vector(m, d))
+    return _pairing_numerators(m, vector(m, d))
 
 
 def pairings_with_curves(m: SurfaceModel, d: DivisorClass) -> Vec:
@@ -320,7 +319,7 @@ def to_configuration(m: SurfaceModel) -> SurfaceModel:
 def validate_model(m: SurfaceModel) -> ValidationReport:
     """Check every model invariant; failures are reported, never raised."""
     fails: list[str] = []
-    n = linalg.dim(m.gram)
+    n = len(m.gram)
     if n == 0 and m.mode is Mode.FULL_LATTICE:
         return ValidationReport(False, ("gram matrix is empty",))
     if any(len(row) != n for row in m.gram):

@@ -4,9 +4,9 @@ A triangle spanned by three divisor classes is subdivided into resolution^2
 small triangles; the centroid of each is classified exactly (rational
 barycentric coordinates, integer sign tests) into its Weyl and/or Zariski
 chamber, and the classified grid is rendered as an SVG document with one
-color per support set.  Floats never enter the classification; they appear
-only in the final fixed 3-decimal coordinate formatting, which uses
-round-half-even, so output bytes are deterministic for fixed inputs.
+color per support set.  No float is used anywhere: pixel coordinates are
+exact rationals, written with 3 decimals by exact integer round-half-even,
+so output bytes are deterministic for fixed inputs.
 
 Classification uses an integerized membership scan over the enumerated
 negative definite supports (solve via precomputed adjugates, then check that
@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
+from itertools import groupby
 
 from . import chambers, linalg, model
-from .errors import DegenerateCorners, SizeLimit
+from .errors import DegenerateCorners, InvalidModel, SizeLimit
 from .model import DivisorClass, Mode, SurfaceModel
 
 MODE_WEYL = "weyl"
@@ -98,22 +99,22 @@ def default_corners(m: SurfaceModel) -> tuple[DivisorClass, DivisorClass, Diviso
     return tuple(corners)
 
 
-def _corner_matrix(m: SurfaceModel, corners) -> list[list[Fraction]]:
-    if m.mode is Mode.FULL_LATTICE:
-        return [list(c.coords) for c in corners]
-    return [[c.ample_coeff, *c.curve_coeffs] for c in corners]
-
-
 def _scan_tables(m: SurfaceModel):
     """Integer adjugate/determinant data for every negative definite
-    support, in (size, lex) order."""
-    gi = [[int(x) for x in row] for row in model.curve_gram(m)]
+    support, in (size, lex) order.  The determinant's sign is folded into
+    the adjugate, so every table has det > 0.  Raises InvalidModel when the
+    curve Gram is not integral, since the tables are exact only in integers."""
+    g = model.curve_gram(m)
+    if any(x.denominator != 1 for row in g for x in row):
+        raise InvalidModel("cross-section classification needs an integral curve Gram")
+    gi = [[int(x) for x in row] for row in g]
     tables = []
     for s in chambers.negative_definite_subsets(m):
         det, adj = linalg.adjugate(model.restrict_gram(m, s))
-        adj = [[int(x) for x in row] for row in adj]
+        sign = 1 if det > 0 else -1
+        adj = [[sign * int(x) for x in row] for row in adj]
         cols = [[row[j] for j in s] for row in gi]
-        tables.append((s, adj, int(det), 1 if det > 0 else -1, cols))
+        tables.append((s, adj, abs(int(det)), cols))
     return tables
 
 
@@ -127,7 +128,7 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     corners = spec.corners if spec.corners is not None else default_corners(m)
     if len(corners) != 3:
         raise DegenerateCorners("exactly three corners required")
-    if linalg.rank(_corner_matrix(m, corners)) != 3:
+    if linalg.rank([model.vector(m, c) for c in corners]) != 3:
         raise DegenerateCorners("corner classes are linearly dependent")
     res = spec.resolution
     n = model.curve_count(m)
@@ -159,12 +160,12 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
 
         zsup = None
         zbound = False
-        for s, adj, det, sign, cols in tables:
+        for s, adj, det, cols in tables:
             k = len(s)
             if k:
                 ds = [q[j] for j in s]
                 bnum = [sum(adj[r][c] * ds[c] for c in range(k)) for r in range(k)]
-                if any(sign * b <= 0 for b in bnum):
+                if any(b <= 0 for b in bnum):
                     continue
             else:
                 bnum = []
@@ -177,18 +178,17 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
                 if k:
                     ci = cols[i]
                     val -= sum(ci[c] * bnum[c] for c in range(k))
-                sval = sign * val
-                if sval < 0:
+                if val < 0:
                     ok = False
                     break
-                if sval == 0:
+                if val == 0:
                     boundary = True
             if not ok:
                 continue
             # bigness: P^2 > 0 and P . ample > 0
             t1 = det * den * q2 - sum(bnum[c] * q[s[c]] for c in range(len(s)))
             t2 = det * den * qh - sum(bnum[c] * hh[s[c]] for c in range(len(s)))
-            if sign * t1 > 0 and sign * t2 > 0:
+            if t1 > 0 and t2 > 0:
                 zsup, zbound = s, boundary
             break
         big = zsup is not None
@@ -246,98 +246,71 @@ _MARGIN = 24
 _LEGEND_W = 150
 
 
-def _xy(u1: int, u2: int, u3: int, scale3: int) -> tuple[Fraction, Fraction]:
-    # corner 1 bottom-left, corner 2 bottom-right, corner 3 apex
-    x = Fraction(2 * u2 + u3, 2 * scale3)
-    y = Fraction(u3, scale3) * _ROOT3_HALF
-    return x, y
-
-
 def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[str]:
     names = model.curve_names(m)
     res = cs.resolution
     scale3 = 3 * res
-    height = _ROOT3_HALF * _SIDE
-    top = Fraction(_MARGIN)
+    left = Fraction(offset_x + _MARGIN)
+    bottom = _MARGIN + _ROOT3_HALF * _SIDE
+    unit_x = Fraction(_SIDE, 2 * scale3)
+    unit_y = Fraction(_SIDE, scale3) * _ROOT3_HALF
 
-    def pix(u1, u2, u3):
-        x, y = _xy(u1, u2, u3, scale3)
-        return (Fraction(offset_x) + _MARGIN + x * _SIDE, top + height - y * _SIDE)
+    def pix(x2, u3):
+        # the point with weights (u1, u2, u3) / scale3 and x2 = 2*u2 + u3;
+        # corner 1 bottom-left, corner 2 bottom-right, corner 3 apex
+        return left + x2 * unit_x, bottom - u3 * unit_y
 
     parts = [
         '<g id="panel-%s">' % kind,
         '<text x="%s" y="%s" font-size="14" font-family="sans-serif">%s</text>'
         % (
-            format3(Fraction(offset_x) + _MARGIN),
+            format3(left),
             format3(Fraction(14)),
             "simple Weyl chambers" if kind == MODE_WEYL else "Zariski chambers",
         ),
     ]
 
-    half_h = Fraction(_SIDE, 2 * res) * _ROOT3_HALF
     half_w = Fraction(_SIDE, 2 * res)
-    # per attained support: integer sums of (2*u2 + u3), u3 and a count,
-    # turned into a pixel centroid only at the end
+    half_h = half_w * _ROOT3_HALF
+    # per attained support: its color, integer sums of (2*u2 + u3) and u3,
+    # and a count, turned into a pixel centroid only at the end
     attained: dict[tuple[int, ...], list] = {}
 
-    # group row-major consecutive samples of equal u3 and equal color key
-    samples = cs.samples
-    idx = 0
-    total = len(samples)
-    while idx < total:
-        u3 = samples[idx][2]
-        row = []
-        while idx < total and samples[idx][2] == u3:
-            row.append(samples[idx])
-            idx += 1
-        run_start = 0
-        while run_start < len(row):
-            s0 = row[run_start]
-            key = _color_key(s0, kind)
-            run_end = run_start
-            while run_end + 1 < len(row) and _color_key(row[run_end + 1], kind) == key:
-                run_end += 1
-            if key is not None:
-                xs = []
-                for s in (row[run_start], row[run_end]):
-                    px, _ = pix(s[0], s[1], s[2])
-                    xs.append(px)
-                y_mid = pix(*row[run_start][:3])[1]
-                x_lo, x_hi = min(xs), max(xs)
-                if key == "boundary":
-                    fill = _BOUNDARY_COLOR
-                else:
-                    fill = support_color(tuple(names[i] for i in key))
-                parts.append(
-                    '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-                    % (
-                        format3(x_lo - half_w),
-                        format3(y_mid - half_h),
-                        format3(x_hi - x_lo + 2 * half_w),
-                        format3(2 * half_h),
-                        fill,
-                    )
-                )
-            run_start = run_end + 1
-        for s in row:
-            key = _color_key(s, kind)
-            if key is not None and key != "boundary":
-                acc = attained.setdefault(key, [0, 0, 0])
-                acc[0] += 2 * s[1] + s[2]
-                acc[1] += s[2]
-                acc[2] += 1
+    # runs of row-major consecutive samples with equal u3 and color key; u2
+    # falls along a row, so a run's first sample is its right end
+    for (u3, key), run in groupby(cs.samples, key=lambda s: (s[2], _color_key(s, kind))):
+        if key is None:
+            continue
+        run = list(run)
+        if key == "boundary":
+            fill = _BOUNDARY_COLOR
+        else:
+            acc = attained.get(key)
+            if acc is None:
+                acc = attained[key] = [support_color(tuple(names[i] for i in key)), 0, 0, 0]
+            acc[1] += sum(2 * s[1] + u3 for s in run)
+            acc[2] += u3 * len(run)
+            acc[3] += len(run)
+            fill = acc[0]
+        x_hi, y_mid = pix(2 * run[0][1] + u3, u3)
+        x_lo = pix(2 * run[-1][1] + u3, u3)[0]
+        parts.append(
+            '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
+            % (
+                format3(x_lo - half_w),
+                format3(y_mid - half_h),
+                format3(x_hi - x_lo + 2 * half_w),
+                format3(2 * half_h),
+                fill,
+            )
+        )
 
     # corner labels
-    corner_names = _corner_names(m, cs.corners)
-    anchors = [
-        (pix(scale3, 0, 0), "start"),
-        (pix(0, scale3, 0), "end"),
-        (pix(0, 0, scale3), "middle"),
-    ]
-    for (pos, anchor), label in zip(anchors, corner_names):
+    anchors = [(pix(0, 0), "start"), (pix(2 * scale3, 0), "end"), (pix(scale3, scale3), "middle")]
+    for ((x, y), anchor), label in zip(anchors, _corner_names(m, cs.corners)):
         parts.append(
             '<text x="%s" y="%s" font-size="12" font-family="sans-serif" text-anchor="%s">%s</text>'
-            % (format3(pos[0]), format3(pos[1] + 14), anchor, label)
+            % (format3(x), format3(y + 14), anchor, label)
         )
 
     # region labels at sample centroids (nef chamber stays unlabelled)
@@ -345,26 +318,24 @@ def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[
     for sup in supports:
         if not sup:
             continue
-        sx2, su3, count = attained[sup]
-        cx = Fraction(offset_x) + _MARGIN + Fraction(sx2, 2 * scale3 * count) * _SIDE
-        cy = top + height - Fraction(su3, scale3 * count) * _ROOT3_HALF * _SIDE
+        _, sx2, su3, count = attained[sup]
+        cx, cy = pix(Fraction(sx2, count), Fraction(su3, count))
         parts.append(
             '<text x="%s" y="%s" font-size="11" font-family="sans-serif" text-anchor="middle">%s</text>'
             % (format3(cx), format3(cy), ",".join(names[i] for i in sup))
         )
 
     # legend
-    ly = top + 20
-    lx = Fraction(offset_x) + _MARGIN + _SIDE + 16
+    ly = Fraction(_MARGIN + 20)
+    lx = left + _SIDE + 16
     for sup in supports:
-        sup_names = tuple(names[i] for i in sup)
         parts.append(
             '<rect x="%s" y="%s" width="12" height="12" fill="%s"/>'
-            % (format3(lx), format3(ly), support_color(sup_names))
+            % (format3(lx), format3(ly), attained[sup][0])
         )
         parts.append(
             '<text x="%s" y="%s" font-size="11" font-family="sans-serif">%s</text>'
-            % (format3(lx + 18), format3(ly + 10), _support_label(sup_names))
+            % (format3(lx + 18), format3(ly + 10), _support_label(tuple(names[i] for i in sup)))
         )
         ly += 18
     parts.append("</g>")

@@ -92,12 +92,7 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
     neg = model.divisor_from_ample_and_curves(
         m, 0, [coeffs[support.index(i)] if i in support else 0 for i in range(n)]
     )
-    if m.mode is Mode.FULL_LATTICE:
-        nef = DivisorClass(coords=linalg.vec_sub(d.coords, neg.coords))
-    else:
-        nef = model.config_divisor(
-            d.ample_coeff, linalg.vec_sub(d.curve_coeffs, neg.curve_coeffs)
-        )
+    nef = model.add_divisors(m, d, model.scale_divisor(m, -1, neg))
 
     p_square = model.pair(m, nef, nef)
     p_ample = model.pair(m, nef, model.ample_divisor(m))

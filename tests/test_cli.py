@@ -292,6 +292,19 @@ def test_singular_matrix_exits_4(capsys, quartic_file, monkeypatch):
     assert json.loads(out)["error"] == {"code": "singular_matrix", "message": "matrix is singular"}
 
 
+def test_divergence_witness_invariant_exits_4(capsys, quartic_file, monkeypatch):
+    """A wrong pair solve moves the divergence witness out of W_{L2}; the
+    witness's own sign check catches it, also under python -O."""
+    real = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda s, b: tuple(10 * x for x in real(s, b)))
+    code, out, _ = run_cli(capsys, "compare", quartic_file)
+    assert code == 4
+    assert json.loads(out)["error"] == {
+        "code": "internal_invariant",
+        "message": "divergence_witness: Weyl support is not {1}",
+    }
+
+
 def test_fm_invariant_exits_4(capsys, quartic_file, monkeypatch):
     """A sample that fails its exact check is a typed error, not a traceback."""
     wrong = linalg.SignConstraint(linalg.vec([0, 0, 0]), Fraction(1), ">")

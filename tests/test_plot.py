@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3chambers import chambers, gallery, model, plot
-from k3chambers.errors import DegenerateCorners
+from k3chambers.errors import DegenerateCorners, InvalidModel
 from k3chambers.model import full_divisor
 from k3chambers.plot import (
     CrossSectionSpec,
@@ -48,6 +48,16 @@ def test_spec_validation(quartic):
     dependent = (full_divisor([0, 1, 0]), full_divisor([0, 0, 1]), full_divisor([0, 1, 1]))
     with pytest.raises(DegenerateCorners):
         classify_cross_section(m, CrossSectionSpec(corners=dependent, resolution=4))
+
+
+def test_non_integral_curve_gram_is_refused():
+    """The scan tables are integers; a curve Gram entry of 1/2 would be
+    truncated to 0 and the samples misclassified, so it is refused."""
+    m = model.configuration_model(
+        [[-2, "1/2", 0], ["1/2", -2, 0], [0, 0, -2]], ["A", "B", "C"], [1, 1, 1], 4
+    )
+    with pytest.raises(InvalidModel):
+        classify_cross_section(m, CrossSectionSpec(resolution=4))
 
 
 def test_default_corners_need_three_curves():
