@@ -18,6 +18,11 @@ Reports are written by ``_emit``, which reproduces ``json.dumps(doc,
 indent=2)`` byte for byte but writes only dict (str keys), list, str, int,
 bool and None; any other value, a float included, is an internal error
 (exit 4) and nothing of that report is written.
+
+``main`` builds the top-level parser and only the parser of the subcommand
+that the command line starts with; help, an unknown command or an empty
+command line build every subcommand's parser.  Help, usage and error text
+are the same either way.  No parser is kept between calls.
 """
 
 from __future__ import annotations
@@ -348,41 +353,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="k3chambers",
-        description="Exact Zariski/Weyl chamber computations on K3 lattice models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a model document")
+def _model_arg(p) -> None:
     p.add_argument("model")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("decompose", help="Zariski decomposition of a divisor")
+
+def _decompose_args(p) -> None:
     p.add_argument("model")
     p.add_argument("divisor", help='JSON divisor, e.g. "[5,7,2]" or \'{"t":1,"a":[1,0,0]}\'')
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("chambers", help="enumerate both chamber families")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_chambers)
 
-    p = sub.add_parser("compare", help="decide whether the decompositions coincide")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("criteria", help="inclusion criteria for one support set")
+def _criteria_args(p) -> None:
     p.add_argument("model")
     p.add_argument("names", nargs="*", help="curve names forming the set")
-    p.set_defaults(func=_cmd_criteria)
 
-    p = sub.add_parser("witness", help="divisor pairing to -1 with the given curves")
+
+def _witness_args(p) -> None:
     p.add_argument("model")
     p.add_argument("names", nargs="+")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("plot", help="render a cross-section of the chamber structure")
+
+def _plot_args(p) -> None:
     p.add_argument("model")
     p.add_argument("--corners", nargs=3, metavar="DIV", default=None)
     p.add_argument("--res", type=int, default=400)
@@ -392,21 +382,58 @@ def build_parser() -> argparse.ArgumentParser:
         default=plot.MODE_BOTH,
     )
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("gallery", help="print a built-in model document")
+
+def _gallery_args(p) -> None:
     p.add_argument("id", help="one of: %s" % ", ".join(gallery.GALLERY_IDS))
-    p.set_defaults(func=_cmd_gallery)
 
-    p = sub.add_parser("random", help="print a seeded random configuration model")
+
+def _random_args(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--density", type=float, default=0.4,
         help="chance that two curves meet, between 0 and 1",
     )
-    p.set_defaults(func=_cmd_random)
 
+
+# name -> (handler, help, function adding the subcommand's arguments), in
+# the order that the top-level help lists them
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, "check a model document", _model_arg),
+    "decompose": (_cmd_decompose, "Zariski decomposition of a divisor", _decompose_args),
+    "chambers": (_cmd_chambers, "enumerate both chamber families", _model_arg),
+    "compare": (_cmd_compare, "decide whether the decompositions coincide", _model_arg),
+    "criteria": (_cmd_criteria, "inclusion criteria for one support set", _criteria_args),
+    "witness": (_cmd_witness, "divisor pairing to -1 with the given curves", _witness_args),
+    "plot": (_cmd_plot, "render a cross-section of the chamber structure", _plot_args),
+    "gallery": (_cmd_gallery, "print a built-in model document", _gallery_args),
+    "random": (_cmd_random, "print a seeded random configuration model", _random_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser is built, since it is the only one a command
+    line starting with it can reach; otherwise (help, an unknown command,
+    no command) every subcommand's parser is built.  Either way help,
+    usage and error text are the same."""
+    parser = _Parser(
+        prog="k3chambers",
+        description="Exact Zariski/Weyl chamber computations on K3 lattice models",
+    )
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # the usage line names every subcommand, as the full build does
+        metavar=None if len(names) > 1 else "{%s}" % ",".join(_SUBCOMMANDS),
+    )
+    for name in names:
+        func, help_text, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -418,8 +445,9 @@ def _error_doc(exc: Exception, code: str) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except K3ChambersError as exc:
         _emit(_error_doc(exc, exc.code))

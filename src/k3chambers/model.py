@@ -419,9 +419,13 @@ def _printable(n: int) -> bool:
 
 
 def _rat_from_json(value) -> Fraction:
-    x = _parse_rat(value)
+    if type(value) is int:  # a plain integer (not a bool) needs no parsing
+        x, printable = Fraction(value), _printable(value)
+    else:
+        x = _parse_rat(value)
+        printable = _printable(x.numerator) and _printable(x.denominator)
     # a value the reports could not print is refused here, not while printing
-    if not (_printable(x.numerator) and _printable(x.denominator)):
+    if not printable:
         raise InvalidModel("rational value has more digits than an integer string may have")
     return x
 

@@ -9,11 +9,14 @@ import contextlib
 import hashlib
 import io
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3chambers import cli
+from k3chambers import cli, gallery, model
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -151,3 +154,96 @@ def test_usage_pin(monkeypatch, argv, code, out, err):
     assert got[0] == code
     assert _digest(got[1]) == (out if isinstance(out, str) else out[pick])
     assert _digest(got[2]) == (err if isinstance(err, str) else err[pick])
+
+
+# ---------------------------------------------------------------------------
+# the parser of one subcommand against the full parser
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = ["validate", "decompose", "chambers", "compare", "criteria", "witness",
+               "plot", "gallery", "random"]
+OPTIONS = ["--corners", "--res", "--mode", "-o", "--output", "--seed", "--n", "--density",
+           "-h", "--help", "--"]
+VALUES = ["m.json", "-1,0", "-1", "5,7,2", "[5,7,2]", "3", "0.5", "weyl", "both", "L1",
+          "abc", "", "-x", "--x", "x.svg"]
+
+
+def _parse(parser, argv):
+    """What ``parser.parse_args(argv)`` gives: its Namespace, or the help
+    or usage error it prints, and how it ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except cli._UsageError as exc:
+            result = ("usage error", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.sampled_from(SUBCOMMANDS), st.sampled_from(OPTIONS + VALUES)),
+    st.lists(st.sampled_from(SUBCOMMANDS + OPTIONS + VALUES), max_size=7),
+)
+def test_one_subcommand_parses_as_the_full_parser(first, rest):
+    argv = [first] + rest
+    assert _parse(cli.build_parser(argv[0]), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_empty_command_line_parses_as_the_full_parser():
+    assert _parse(cli.build_parser(None), []) == _parse(cli.build_parser(), [])
+
+
+def _subcommands(parser):
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def test_full_parser_lists_every_subcommand():
+    assert _subcommands(cli.build_parser()) == SUBCOMMANDS
+    assert _subcommands(cli.build_parser("nosuchcommand")) == SUBCOMMANDS
+    assert _subcommands(cli.build_parser("decompose")) == ["decompose"]
+
+
+def test_decompose_builds_two_parsers(monkeypatch, tmp_path):
+    path = tmp_path / "quartic.json"
+    path.write_text(model.model_to_json(gallery.quartic_example().model))
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run_main(["decompose", str(path), "5,7,2"])[0] == 0
+    assert built == ["k3chambers", "k3chambers decompose"]
+
+
+# ---------------------------------------------------------------------------
+# where the command line comes from
+# ---------------------------------------------------------------------------
+
+
+def test_main_accepts_a_tuple(monkeypatch):
+    expected = run_main(["gallery", "quartic"])
+    assert expected[0] == 0
+    assert run_main(("gallery", "quartic")) == expected
+    # with no argv, the command line is sys.argv without the program name
+    monkeypatch.setattr(sys, "argv", ["k3chambers", "gallery", "quartic"])
+    assert run_main(None) == expected
+
+
+def test_fresh_process_prints_the_in_process_bytes(tmp_path):
+    path = tmp_path / "quartic.json"
+    path.write_text(model.model_to_json(gallery.quartic_example().model))
+    argv = ["decompose", str(path), "5,7,2"]
+    code, out, err = run_main(argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3chambers", *argv],
+        capture_output=True, env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert code == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

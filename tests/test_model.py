@@ -1,5 +1,7 @@
 import importlib
+import json
 import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,6 +242,48 @@ def test_model_json_rejects_floats():
     with pytest.raises(InvalidModel):
         model_from_json('{"mode": "configuration", "gram": [[-2.0]], '
                         '"curves": [{"name": "C1"}], "ample": {"dots": [1], "self": 2}}')
+
+
+def _one_curve_document(value):
+    return {"mode": "configuration", "gram": [[-2]], "curves": [{"name": "C1"}],
+            "ample": {"dots": [1], "self": value}}
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_entries_are_refused(value):
+    with pytest.raises(InvalidModel, match="boolean"):
+        model.model_from_document(_one_curve_document(value))
+    with pytest.raises(InvalidModel, match="boolean"):
+        model_from_json('{"mode": "configuration", "gram": [[%s]], "curves": [{"name": "C1"}], '
+                        '"ample": {"dots": [1], "self": 2}}' % str(value).lower())
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="needs a limit on integer-string digits")
+def test_huge_int_in_a_library_built_document_is_invalid_model():
+    with pytest.raises(InvalidModel) as exc:
+        model.model_from_document(_one_curve_document(10 ** (2 * _DIGIT_LIMIT)))
+    assert exc.value.code == "invalid_model"
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="needs a limit on integer-string digits")
+def test_integer_entries_keep_the_digit_limit_edges():
+    """An integer entry prints as ``str(n)``; it is refused exactly when that
+    string would pass Python's digit limit, as a rational string is."""
+    limit = _DIGIT_LIMIT
+    # the last bit length that needs no digit count, and the first that does
+    for ok in [10 ** limit - 1, -(10 ** limit - 1), 2 ** (3 * limit) - 1, 2 ** (3 * limit)]:
+        doc = model.model_from_document(_one_curve_document(ok))
+        assert doc.ample_self == ok and json.dumps(model.model_to_document(doc))
+    for bad in [10 ** limit, -(10 ** limit)]:
+        with pytest.raises(InvalidModel, match="more digits"):
+            model.model_from_document(_one_curve_document(bad))
+    # one digit fewer than the limit reads the same as a string and as an integer
+    assert model.model_from_document(_one_curve_document("9" * limit)) == (
+        model.model_from_document(_one_curve_document(10 ** limit - 1))
+    )
 
 
 def test_model_json_rejects_garbage():
