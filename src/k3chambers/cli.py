@@ -422,14 +422,14 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         prog="k3chambers",
         description="Exact Zariski/Weyl chamber computations on K3 lattice models",
     )
-    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    single = command in _SUBCOMMANDS
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        # the usage line names every subcommand, as the full build does
-        metavar=None if len(names) > 1 else "{%s}" % ",".join(_SUBCOMMANDS),
+        # with one subcommand built, the usage line still names them all
+        metavar="{%s}" % ",".join(_SUBCOMMANDS) if single else None,
     )
-    for name in names:
+    for name in [command] if single else _SUBCOMMANDS:
         func, help_text, add_arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
