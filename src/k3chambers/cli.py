@@ -353,7 +353,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _model_arg(p) -> None:
+def _model_args(p) -> None:
     p.add_argument("model")
 
 
@@ -400,10 +400,10 @@ def _random_args(p) -> None:
 # name -> (handler, help, function adding the subcommand's arguments), in
 # the order that the top-level help lists them
 _SUBCOMMANDS = {
-    "validate": (_cmd_validate, "check a model document", _model_arg),
+    "validate": (_cmd_validate, "check a model document", _model_args),
     "decompose": (_cmd_decompose, "Zariski decomposition of a divisor", _decompose_args),
-    "chambers": (_cmd_chambers, "enumerate both chamber families", _model_arg),
-    "compare": (_cmd_compare, "decide whether the decompositions coincide", _model_arg),
+    "chambers": (_cmd_chambers, "enumerate both chamber families", _model_args),
+    "compare": (_cmd_compare, "decide whether the decompositions coincide", _model_args),
     "criteria": (_cmd_criteria, "inclusion criteria for one support set", _criteria_args),
     "witness": (_cmd_witness, "divisor pairing to -1 with the given curves", _witness_args),
     "plot": (_cmd_plot, "render a cross-section of the chamber structure", _plot_args),
