@@ -8,15 +8,10 @@ color per support set.  No float is used anywhere: pixel coordinates are
 exact rationals, written with 3 decimals by exact integer round-half-even,
 so output bytes are deterministic for fixed inputs.
 
-Classification uses an integerized membership scan over the enumerated
-negative definite supports (solve via precomputed adjugates, then check that
-the negative-part coefficients are positive and the nef candidate is
-nonnegative on every curve).  By uniqueness of the decomposition this agrees
-with the iterative engine; the test suite cross-checks the two on sampled
-points.  The scan stays because it is 10 to 70 times cheaper: at resolution
-60 on the quartic and ``random_configuration(0, 6, 0.2)`` it took 5-18 us
-per sample, against 0.17-0.39 ms for ``is_big`` plus ``zariski_chamber_of``,
-and all 3600 samples of each agreed (Python 3.11, shared 2-vCPU Xeon).
+Classification runs the decomposition's own engine, ``zariski.grow_support``,
+on each sample's integer pairings with the curves.  The tables of the curve
+sets it visits are kept for the whole plot and built on first use, so only
+supports that some sample's growth reaches are ever eliminated.
 """
 
 from __future__ import annotations
@@ -26,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from itertools import groupby
+from operator import mul
 
-from . import chambers, linalg, model
+from . import linalg, model, zariski
 from .errors import DegenerateCorners, InvalidModel, SizeLimit
 from .model import DivisorClass, Mode, SurfaceModel
 
@@ -62,25 +58,23 @@ class CrossSection:
     Each sample is (u1, u2, u3, weyl_support, weyl_boundary,
     zariski_support, zariski_boundary); the barycentric coordinates are
     u / (3 * resolution).  Support fields are None when the sample is not
-    big (such samples stay uncolored)."""
+    big (such samples stay uncolored); samples with equal supports share
+    one tuple.  ``attained`` holds the supports that occur, Weyl then
+    Zariski."""
 
     resolution: int
     samples: tuple
     corners: tuple[DivisorClass, DivisorClass, DivisorClass]
     coloring: str
+    attained: tuple[frozenset, frozenset]
 
     @property
     def kinds(self) -> list[str]:
         """The panels drawn: one per chamber kind in the coloring."""
         return [MODE_WEYL, MODE_ZARISKI] if self.coloring == MODE_BOTH else [self.coloring]
 
-    def attained_supports(self, kind: str) -> set[tuple[int, ...]]:
-        out = set()
-        for s in self.samples:
-            sup = s[3] if kind == MODE_WEYL else s[5]
-            if sup is not None:
-                out.add(sup)
-        return out
+    def attained_supports(self, kind: str) -> frozenset[tuple[int, ...]]:
+        return self.attained[kind == MODE_ZARISKI]
 
 
 def default_corners(m: SurfaceModel) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
@@ -97,25 +91,6 @@ def default_corners(m: SurfaceModel) -> tuple[DivisorClass, DivisorClass, Diviso
         a[i] = Fraction(1)
         corners.append(model.config_divisor(1, a))
     return tuple(corners)
-
-
-def _scan_tables(m: SurfaceModel):
-    """Integer adjugate/determinant data for every negative definite
-    support, in (size, lex) order.  The determinant's sign is folded into
-    the adjugate, so every table has det > 0.  Raises InvalidModel when the
-    curve Gram is not integral, since the tables are exact only in integers."""
-    g = model.curve_gram(m)
-    if any(x.denominator != 1 for row in g for x in row):
-        raise InvalidModel("cross-section classification needs an integral curve Gram")
-    gi = [[int(x) for x in row] for row in g]
-    tables = []
-    for s in chambers.negative_definite_subsets(m):
-        det, adj = linalg.adjugate(model.restrict_gram(m, s))
-        sign = 1 if det > 0 else -1
-        adj = [[sign * int(x) for x in row] for row in adj]
-        cols = [[row[j] for j in s] for row in gi]
-        tables.append((s, adj, abs(int(det)), cols))
-    return tables
 
 
 def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSection:
@@ -148,56 +123,45 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     ca = [int(x * den) for x in corner_amp]
     hh = [int(x * den) for x in h]
 
-    tables = _scan_tables(m)
+    gram, c = zariski.integer_curve_gram(m)
+    if c != 1:
+        raise InvalidModel("cross-section classification needs an integral curve Gram")
+    # curve set -> its support_table (or None), built on first use
+    tables: dict = {}
+
+    def table(s):
+        if s not in tables:
+            tables[s] = zariski.support_table(gram, s)
+        return tables[s]
+
+    # per chamber kind, each big sample's support -> its one shared tuple
+    attained = ({}, {})
 
     def classify(u1: int, u2: int, u3: int):
         q = [u1 * cd[0][i] + u2 * cd[1][i] + u3 * cd[2][i] for i in range(n)]
+        s, tab, x, zero = zariski.grow_support(q, table)
+        if tab is None or (s and min(x) <= 0):
+            return (None, False, None, False)
+        # bigness: P^2 > 0 and P . ample > 0, times det * den^2 with
+        # det = tab[1] (N = sum of x_j / (det * den) C_j)
+        det = tab[1]
         q2 = (
             u1 * u1 * cp[0][0] + u2 * u2 * cp[1][1] + u3 * u3 * cp[2][2]
             + 2 * (u1 * u2 * cp[0][1] + u1 * u3 * cp[0][2] + u2 * u3 * cp[1][2])
         )
         qh = u1 * ca[0] + u2 * ca[1] + u3 * ca[2]
-
-        zsup = None
-        zbound = False
-        for s, adj, det, cols in tables:
-            k = len(s)
-            if k:
-                ds = [q[j] for j in s]
-                bnum = [sum(adj[r][c] * ds[c] for c in range(k)) for r in range(k)]
-                if any(b <= 0 for b in bnum):
-                    continue
-            else:
-                bnum = []
-            ok = True
-            boundary = False
-            for i in range(n):
-                if i in s:
-                    continue
-                val = det * q[i]
-                if k:
-                    ci = cols[i]
-                    val -= sum(ci[c] * bnum[c] for c in range(k))
-                if val < 0:
-                    ok = False
-                    break
-                if val == 0:
-                    boundary = True
-            if not ok:
-                continue
-            # bigness: P^2 > 0 and P . ample > 0
-            t1 = det * den * q2 - sum(bnum[c] * q[s[c]] for c in range(len(s)))
-            t2 = det * den * qh - sum(bnum[c] * hh[s[c]] for c in range(len(s)))
-            if t1 > 0 and t2 > 0:
-                zsup, zbound = s, boundary
-            break
-        big = zsup is not None
-        if big:
-            wsup = tuple(i for i in range(n) if q[i] < 0)
-            wbound = any(x == 0 for x in q)
-        else:
-            wsup, wbound = None, False
-        return (wsup, wbound, zsup, zbound)
+        t1, t2 = det * den * q2, det * den * qh
+        if s:
+            t1 -= sum(map(mul, x, [q[j] for j in s]))
+            t2 -= sum(map(mul, x, [hh[j] for j in s]))
+        if t1 <= 0 or t2 <= 0:
+            return (None, False, None, False)
+        # the curves met negatively, all inside the Zariski support
+        wsup = tuple([j for j in s if q[j] < 0])
+        return (
+            attained[0].setdefault(wsup, wsup), 0 in q,
+            attained[1].setdefault(s, s), bool(zero),
+        )
 
     samples = []
     for level in range(res):
@@ -210,7 +174,10 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
             for i in range(level + 1):
                 u1, u2, u3 = 3 * i + 2, 3 * (level - i) + 2, k3d
                 samples.append((u1, u2, u3, *classify(u1, u2, u3)))
-    return CrossSection(res, tuple(samples), corners, spec.coloring)
+    return CrossSection(
+        res, tuple(samples), corners, spec.coloring,
+        tuple(frozenset(a) for a in attained),
+    )
 
 
 # ---------------------------------------------------------------------------

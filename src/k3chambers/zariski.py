@@ -1,17 +1,21 @@
 """Zariski decomposition of big divisor classes.
 
-The engine grows the candidate support iteratively: it starts from the
-curves met negatively, solves the orthogonality system on that support, and
-adds one curve at a time (the one met most negatively by the current nef
-candidate) until the candidate is nonnegative on every listed curve.  The
-negative-part support stays negative definite throughout; growth to a
-non-negative-definite set proves the input is not big.
+One integer engine, ``grow_support``, finds the support of the negative
+part as in Bauer's proof: it starts from the curves met negatively, solves
+the orthogonality system on that support, and adds one curve at a time (the
+one met most negatively by the current nef candidate, the lowest index on a
+tie) until the candidate meets no listed curve negatively.  The support
+stays negative definite throughout; growth to a set that is not proves the
+input is not big.  The engine reads each curve set through a table lookup:
+``zariski_decompose`` builds the tables of its own steps, and ``plot`` keeps
+one table per curve set for a whole cross-section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, model
 from .errors import ModeUnsupported, NotBig, require
@@ -39,11 +43,55 @@ class BignessCheck:
     reason: str | None
 
 
-def negative_part(m: SurfaceModel, result: ZariskiResult) -> DivisorClass:
-    a = [Fraction(0)] * model.curve_count(m)
-    for i, b in result.neg_coeffs:
-        a[i] = b
-    return model.divisor_from_ample_and_curves(m, 0, a)
+def integer_curve_gram(m: SurfaceModel) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integers ``K`` and the least ``c > 0`` with ``C_i . C_j = K_ij / c``."""
+    g = model.curve_gram(m)
+    flat, c = linalg.over_common_denominator(x for row in g for x in row)
+    n = len(g)
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n)), c
+
+
+def support_table(k: tuple[tuple[int, ...], ...], s: tuple[int, ...]):
+    """The table of the curve set s for the integer curve Gram ``k``:
+    ``(inv, den, cols)`` with ``K_s^-1 = inv / den`` (den > 0) and
+    ``cols[i]`` the entries ``K_ij``, j in s, of every curve i; or None when
+    ``K_s`` is not negative definite.  One elimination decides both."""
+    sols = linalg.solve_negative_definite(
+        tuple(tuple(k[i][j] for j in s) for i in s),
+        [[int(i == j) for j in s] for i in s],
+    )
+    if sols is None:
+        return None
+    flat, den = linalg.over_common_denominator(x for col in sols for x in col)
+    size = len(s)
+    inv = tuple(flat[i * size:(i + 1) * size] for i in range(size))
+    return inv, den, tuple(tuple(row[j] for j in s) for row in k)
+
+
+def grow_support(q, table):
+    """Bauer's growth on the integer pairings ``q`` (``D . C_i = q_i / e``
+    for some e > 0).  ``table(s)`` gives ``support_table`` of the curve set
+    s.  Returns ``(s, tab, x, zero)``: the support, its table (None when s is
+    not negative definite, and then x and zero are None too), the integers
+    ``x = inv q_s``, so that N = sum of c x_j / (den e) C_j for the curve
+    Gram's denominator c, and the curves off s that the candidate meets in
+    zero."""
+    s = tuple([i for i, v in enumerate(q) if v < 0])
+    while True:
+        tab = table(s)
+        if tab is None:
+            return s, None, None, None
+        inv, den, cols = tab
+        qs = [q[j] for j in s]
+        x = [sum(map(mul, row, qs)) for row in inv]
+        # den * e * P.C_i for every curve i, zero on s; den = 1 when s is empty
+        vals = [den * v - sum(map(mul, col, x)) for v, col in zip(q, cols)] if s else q
+        low = min(vals, default=0)
+        if low > 0:
+            return s, tab, x, ()
+        if low == 0:
+            return s, tab, x, tuple([i for i, v in enumerate(vals) if v == 0 and i not in s])
+        s = tuple(sorted((*s, vals.index(low))))
 
 
 def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
@@ -54,44 +102,22 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
             "configuration-mode decomposition needs an ample coefficient > 0"
         )
     n = model.curve_count(m)
-    g = model.curve_gram(m)
-    dots = model.pairings_with_curves(m, d)
-
-    support = sorted(i for i in range(n) if dots[i] < 0)
-    coeffs: list[Fraction] = []
-    while True:
-        # one elimination per growth step decides definiteness and solves
-        solved = linalg.solve_negative_definite(
-            model.restrict_gram(m, support), [[dots[j] for j in support]]
+    q, e = model.pairing_numerators(m, d)
+    k, c = integer_curve_gram(m)
+    # one elimination per growth step decides definiteness and solves
+    support, tab, x, zero = grow_support(q, lambda s: support_table(k, s))
+    if tab is None:
+        raise NotBig(
+            "support %r has a non-negative-definite intersection matrix"
+            % (list(support),)
         )
-        if solved is None:
-            raise NotBig(
-                "support %r has a non-negative-definite intersection matrix"
-                % (support,)
-            )
-        coeffs = list(solved[0])
-        residual = list(dots)
-        for pos, j in enumerate(support):
-            b = coeffs[pos]
-            if b:
-                for i in range(n):
-                    residual[i] -= b * g[i][j]
-        worst = None
-        for i in range(n):
-            if i in support:
-                continue
-            if residual[i] < 0 and (worst is None or residual[i] < residual[worst]):
-                worst = i
-        if worst is None:
-            break
-        support = sorted(support + [worst])
-
+    coeffs = [Fraction(c * xj, tab[1] * e) for xj in x]
     if any(b <= 0 for b in coeffs):
         raise NotBig("negative part would have a nonpositive coefficient")
 
-    neg = model.divisor_from_ample_and_curves(
-        m, 0, [coeffs[support.index(i)] if i in support else 0 for i in range(n)]
-    )
+    neg_coeffs = tuple(zip(support, coeffs))
+    a = dict(neg_coeffs)
+    neg = model.divisor_from_ample_and_curves(m, 0, [a.get(i, 0) for i in range(n)])
     nef = model.add_divisors(m, d, model.scale_divisor(m, -1, neg))
 
     p_square = model.pair(m, nef, nef)
@@ -101,14 +127,15 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
             "nef part has square %s and ample pairing %s" % (p_square, p_ample)
         )
 
-    null = tuple(i for i in range(n) if residual[i] == 0)
-    require(set(support) <= set(null), "zariski_decompose: nef part meets its support")
+    null = tuple(sorted((*support, *zero)))
+    p_dots = model.pairing_numerators(m, nef)[0]
+    require(
+        min(p_dots, default=0) >= 0
+        and tuple(i for i in range(n) if p_dots[i] == 0) == null,
+        "zariski_decompose: nef part is negative on a curve or not zero exactly on its null set",
+    )
     return ZariskiResult(
-        nef_part=nef,
-        neg_coeffs=tuple((j, coeffs[pos]) for pos, j in enumerate(support)),
-        neg_set=tuple(support),
-        null_set=null,
-        volume=p_square,
+        nef_part=nef, neg_coeffs=neg_coeffs, neg_set=support, null_set=null, volume=p_square
     )
 
 

@@ -388,6 +388,38 @@ def test_chambers_refuses_more_than_twelve_curves(capsys, tmp_path, n):
     assert json.loads(out)["error"]["code"] == "size_limit"
 
 
+def test_plot_eliminates_only_the_supports_its_samples_reach(capsys, tmp_path, monkeypatch):
+    """14 disjoint curves have 2^14 negative definite subsets; the plot's
+    growth reaches a handful of them, and no table is built for the rest."""
+    path = _disjoint_curves_model(tmp_path, 14)
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, n: calls.append(n) or real(rows, n))
+    code, out, _ = run_cli(capsys, "plot", path, "--res", "4", "-o", str(tmp_path / "d.svg"))
+    assert code == 0
+    assert json.loads(out)["panels"]["zariski"]["regions"] == 4
+    assert 0 < len(calls) <= 30
+
+
+def test_wrong_kernel_support_exits_4(capsys, quartic_file, monkeypatch):
+    """A growth kernel that stops before the support is complete leaves a
+    nef part that meets L1 negatively; the check on the model's own
+    pairings catches it, also under python -O."""
+
+    def no_growth(q, table):
+        s = tuple(i for i, x in enumerate(q) if x < 0)
+        inv, den, cols = tab = table(s)
+        x = [sum(a * q[j] for a, j in zip(row, s)) for row in inv]
+        return s, tab, x, ()
+
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, "[5,7,2]")
+    assert code == 0 and json.loads(out)["neg_set"] == ["L1", "L2"]
+    monkeypatch.setattr(zariski, "grow_support", no_growth)
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, "[5,7,2]")
+    assert code == 4
+    assert json.loads(out)["error"]["code"] == "internal_invariant"
+
+
 def test_plot_refuses_resolution_over_limit(capsys, quartic_file, tmp_path):
     out_path = tmp_path / "big.svg"
     code, out, _ = run_cli(

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3chambers import chambers, gallery, model, plot
+from helpers_oracle import valid_supports_brute_force
+from k3chambers import chambers, gallery, linalg, model, plot, zariski
 from k3chambers.errors import DegenerateCorners, InvalidModel
 from k3chambers.model import full_divisor
 from k3chambers.plot import (
@@ -98,8 +99,8 @@ def test_quartic_panels_differ_and_double_cover_agrees(quartic, double_cover):
             assert s[3] == s[5]
 
 
-def test_scan_agrees_with_engine_on_sampled_points(quartic, double_cover):
-    """The integerized membership scan must match zariski_decompose and the
+def test_classification_agrees_with_decompose_on_sampled_points(quartic, double_cover):
+    """Each sample's fields must match zariski_decompose, is_big and the
     pairing signs on a subsample of grid points."""
     for entry in (quartic, double_cover):
         m = entry.model
@@ -114,7 +115,7 @@ def test_scan_agrees_with_engine_on_sampled_points(quartic, double_cover):
                 )
             ]
             d = full_divisor(coords)
-            check = __import__("k3chambers").zariski.is_big(m, d)
+            check = zariski.is_big(m, d)
             if zsup is None:
                 assert not check.big
                 continue
@@ -123,6 +124,66 @@ def test_scan_agrees_with_engine_on_sampled_points(quartic, double_cover):
             assert sig.support == zsup and sig.boundary == zbound
             wsig = chambers.weyl_signature(m, d)
             assert wsig.support == wsup and wsig.boundary == wbound
+
+
+def _oracle_cases():
+    """The gallery and random models with n <= 6, each with the corners
+    H + C_0, H + C_1 and C_2 - H, so that part of every triangle leaves the
+    big cone; and the gallery with its default corners, where more chambers
+    meet."""
+    models = [gallery.quartic_example().model, gallery.double_cover_example().model]
+    for seed, n, density in [(0, 6, 0.2), (9, 6, 0.5), (4, 5, 0.5), (1, 4, 0.6), (2, 3, 0.9)]:
+        models.append(gallery.random_configuration(seed, n, density))
+    cases = []
+    for m in models:
+        h = model.ample_divisor(m)
+        c = [model.curve_divisor(m, i) for i in range(3)]
+        corners = (
+            model.add_divisors(m, h, c[0]),
+            model.add_divisors(m, h, c[1]),
+            model.add_divisors(m, c[2], model.scale_divisor(m, -1, h)),
+        )
+        cases.append((m, corners))
+    return cases + [(gallery.quartic_example().model, None),
+                    (gallery.double_cover_example().model, None)]
+
+
+@pytest.mark.parametrize("m, corners", _oracle_cases())
+def test_every_zariski_support_matches_the_brute_force_oracle(m, corners):
+    """Independent of the growth engine: for every sample, the first
+    negative definite set (in size, index order) with positive coefficients
+    and a nef candidate is the Zariski support when its nef part is big,
+    and the sample is not big otherwise."""
+    cs = classify_cross_section(m, CrossSectionSpec(corners=corners, resolution=9))
+    amp = model.ample_divisor(m)
+    big = 0
+    for u1, u2, u3, wsup, wbound, zsup, zbound in cs.samples:
+        d = model.scale_divisor(m, u1, cs.corners[0])
+        for u, c in ((u2, cs.corners[1]), (u3, cs.corners[2])):
+            d = model.add_divisors(m, d, model.scale_divisor(m, u, c))
+        dots = model.pairings_with_curves(m, d)
+        expected = (None, False, None, False)
+        valid = valid_supports_brute_force(m, d)
+        if valid:
+            t = valid[0]
+            a = [Fraction(0)] * model.curve_count(m)
+            sol = linalg.solve_linear(model.restrict_gram(m, t), [dots[j] for j in t])
+            for j, b in zip(t, sol):
+                a[j] = b
+            p = model.add_divisors(
+                m, d, model.divisor_from_ample_and_curves(m, 0, [-b for b in a])
+            )
+            if model.pair(m, p, p) > 0 and model.pair(m, p, amp) > 0:
+                p_dots = model.pairings_with_curves(m, p)
+                expected = (
+                    tuple(i for i, x in enumerate(dots) if x < 0),
+                    any(x == 0 for x in dots),
+                    t,
+                    any(x == 0 for i, x in enumerate(p_dots) if i not in t),
+                )
+        assert (wsup, wbound, zsup, zbound) == expected
+        big += zsup is not None
+    assert big and (corners is None or big < len(cs.samples))
 
 
 def test_render_is_deterministic(quartic):

@@ -139,8 +139,11 @@ def test_result_invariants_on_sampled_big_divisors(m):
         assert set(r.neg_set) >= {i for i in range(n) if dots[i] < 0}
         # positive coefficients, exact reconstruction, orthogonality
         assert all(b > 0 for _, b in r.neg_coeffs)
-        rebuilt = model.add_divisors(m, r.nef_part, zariski.negative_part(m, r))
-        assert rebuilt == d
+        a = [Fraction(0)] * n
+        for i, b in r.neg_coeffs:
+            a[i] = b
+        neg = model.divisor_from_ample_and_curves(m, 0, a)
+        assert model.add_divisors(m, r.nef_part, neg) == d
         p_dots = model.pairings_with_curves(m, r.nef_part)
         assert all(p_dots[j] == 0 for j in r.neg_set)
         assert all(x >= 0 for x in p_dots)
@@ -171,3 +174,30 @@ def test_random_configuration_divisors_always_decompose(seed):
     d = sample_big_divisor(m, rng)
     r = zariski_decompose(m, d)
     assert model.pair(m, r.nef_part, r.nef_part) > 0
+
+
+def test_rational_curve_gram_decomposes_exactly():
+    """A library-built model may have a rational curve Gram; the integer
+    engine works over its common denominator and must not truncate.  Both
+    divisors grow past a curve they meet positively (B).  The expected
+    results are the ones the Fraction engine gave before the integer one."""
+    m = model.configuration_model(
+        [[-2, "1/2", 0], ["1/2", -2, "1/3"], [0, "1/3", -2]], ["A", "B", "C"], [1, 1, 1], 4
+    )
+    f = Fraction
+    r = zariski_decompose(m, config_divisor(1, [4, 1, 0]))
+    assert r == zariski.ZariskiResult(
+        nef_part=config_divisor(1, [f(2, 3), f(2, 3), 0]),
+        neg_coeffs=((0, f(10, 3)), (1, f(1, 3))),
+        neg_set=(0, 1),
+        null_set=(0, 1),
+        volume=f(16, 3),
+    )
+    r = zariski_decompose(m, config_divisor(2, [7, 3, f(5, 2)]))
+    assert r == zariski.ZariskiResult(
+        nef_part=config_divisor(2, [f(182, 131), f(204, 131), f(165, 131)]),
+        neg_coeffs=((0, f(735, 131)), (1, f(189, 131)), (2, f(325, 262))),
+        neg_set=(0, 1, 2),
+        null_set=(0, 1, 2),
+        volume=f(3198, 131),
+    )
