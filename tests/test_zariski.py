@@ -80,6 +80,17 @@ def test_not_big_inputs(quartic):
     assert not check.big and check.decomposition is None
 
 
+def test_growth_adds_the_most_negative_curve(quartic):
+    """The failing support of a divisor that is not big shows the growth
+    order.  D = -3 L1 - 2 L2 + 5 C meets C negatively; after solving on
+    {C} the candidate meets L1 in -6 and L2 in -9, so L2 joins, and {L2, C}
+    is not negative definite (adding L1 would fail on {L1, C} instead).  On
+    a big divisor every curve met negatively lies in the support (Bauer), so
+    only inputs like this one pin the choice."""
+    with pytest.raises(NotBig, match=r"^support \[1, 2\] has a non-negative-definite"):
+        zariski_decompose(quartic.model, full_divisor([-3, -2, 5]))
+
+
 def test_is_big_certificates(quartic):
     m = quartic.model
     check = is_big(m, full_divisor([2, 2, 2]))
