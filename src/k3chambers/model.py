@@ -106,6 +106,18 @@ class SurfaceModel:
         return tuple(zip(*(tuple(Fraction(x, den) for x in nums) for nums, den in cols)))
 
     @cached_property
+    def integer_curve_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integers ``K`` and a denominator ``c > 0`` with ``C_i . C_j =
+        K_ij / c``: the curve block of ``pairing_form`` (configuration), or
+        the curve Gram over its common denominator (full lattice)."""
+        if self.mode is Mode.CONFIGURATION:
+            form, q = self.pairing_form
+            return tuple(row[1:] for row in form[1:]), q
+        flat, c = linalg.over_common_denominator(x for row in self.curve_gram for x in row)
+        n = len(self.curves)
+        return tuple(flat[i * n:(i + 1) * n] for i in range(n)), c
+
+    @cached_property
     def ample_pairings(self) -> Vec:
         """Intersection of the ample class with each listed curve."""
         if self.mode is Mode.CONFIGURATION:

@@ -123,8 +123,8 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     ca = [int(x * den) for x in corner_amp]
     hh = [int(x * den) for x in h]
 
-    gram, c = zariski.integer_curve_gram(m)
-    if c != 1:
+    gram, c = m.integer_curve_gram
+    if any(x % c for row in gram for x in row):
         raise InvalidModel("cross-section classification needs an integral curve Gram")
     # curve set -> its support_table (or None), built on first use
     tables: dict = {}
@@ -143,7 +143,7 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
         if tab is None or (s and min(x) <= 0):
             return (None, False, None, False)
         # bigness: P^2 > 0 and P . ample > 0, times det * den^2 with
-        # det = tab[1] (N = sum of x_j / (det * den) C_j)
+        # det = tab[1] (N = sum of c x_j / (det * den) C_j)
         det = tab[1]
         q2 = (
             u1 * u1 * cp[0][0] + u2 * u2 * cp[1][1] + u3 * u3 * cp[2][2]
@@ -152,8 +152,8 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
         qh = u1 * ca[0] + u2 * ca[1] + u3 * ca[2]
         t1, t2 = det * den * q2, det * den * qh
         if s:
-            t1 -= sum(map(mul, x, [q[j] for j in s]))
-            t2 -= sum(map(mul, x, [hh[j] for j in s]))
+            t1 -= c * sum(map(mul, x, [q[j] for j in s]))
+            t2 -= c * sum(map(mul, x, [hh[j] for j in s]))
         if t1 <= 0 or t2 <= 0:
             return (None, False, None, False)
         # the curves met negatively, all inside the Zariski support

@@ -43,19 +43,12 @@ class BignessCheck:
     reason: str | None
 
 
-def integer_curve_gram(m: SurfaceModel) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integers ``K`` and the least ``c > 0`` with ``C_i . C_j = K_ij / c``."""
-    g = model.curve_gram(m)
-    flat, c = linalg.over_common_denominator(x for row in g for x in row)
-    n = len(g)
-    return tuple(flat[i * n:(i + 1) * n] for i in range(n)), c
-
-
 def support_table(k: tuple[tuple[int, ...], ...], s: tuple[int, ...]):
-    """The table of the curve set s for the integer curve Gram ``k``:
-    ``(inv, den, cols)`` with ``K_s^-1 = inv / den`` (den > 0) and
-    ``cols[i]`` the entries ``K_ij``, j in s, of every curve i; or None when
-    ``K_s`` is not negative definite.  One elimination decides both."""
+    """The table of the curve set s for the integer curve Gram ``K`` of
+    ``SurfaceModel.integer_curve_gram``: ``(inv, den, cols)`` with
+    ``K_s^-1 = inv / den`` (den > 0) and ``cols[i]`` the entries ``K_ij``,
+    j in s, of every curve i; or None when ``K_s`` is not negative
+    definite.  One elimination decides both."""
     sols = linalg.solve_negative_definite(
         tuple(tuple(k[i][j] for j in s) for i in s),
         [[int(i == j) for j in s] for i in s],
@@ -103,7 +96,7 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
         )
     n = model.curve_count(m)
     q, e = model.pairing_numerators(m, d)
-    k, c = integer_curve_gram(m)
+    k, c = m.integer_curve_gram
     # one elimination per growth step decides definiteness and solves
     support, tab, x, zero = grow_support(q, lambda s: support_table(k, s))
     if tab is None:
