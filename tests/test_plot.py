@@ -84,6 +84,9 @@ def test_region_counts_match_atlas(quartic, double_cover):
         expected = set(chambers.enumerate_zariski_chambers(entry.model).supports)
         assert cs.attained_supports(plot.MODE_ZARISKI) == expected
         assert cs.attained_supports(plot.MODE_WEYL) == expected
+        # one shared tuple per support, not one per sample
+        for field in (3, 5):
+            assert len({id(s[field]) for s in cs.samples if s[field] is not None}) == len(expected)
 
 
 def test_quartic_panels_differ_and_double_cover_agrees(quartic, double_cover):
