@@ -9,15 +9,15 @@ Two chamber families are computed by deliberately independent routes:
   negatively and all others positively, by exact Fourier-Motzkin
   elimination.
 
-Both families are products over the connected components of the curve
-graph, and each enumeration runs once per component.  The Zariski side
-takes its components from the curve Gram: a set is negative definite iff
-its part in every component is, so the hereditary search runs inside each
-component, and each witness is solved piece by piece: a piece's solution
-is checked to be >= 0 and its pairings with every curve are taken once, as
-integers over one denominator, so each witness is checked by summing its
-pieces' integer rows and the ample class's.  The Weyl side takes
-its blocks from the nonzero pattern of its sign rows: a sign system
+Both families are products over the connected components of the curve graph,
+and each enumeration runs once per component.  The Zariski side takes its
+components from the curve Gram: a set is negative definite iff its part in
+every component is, so the hereditary search runs inside each component,
+where one elimination per candidate tests it and gives its witness solution.
+A member of a local family has its solution checked to be >= 0 and its
+pairings with every curve taken once, as integers, so each atlas witness is
+checked by summing its members' rows and the ample class's.  The Weyl side
+takes its blocks from the nonzero pattern of its sign rows: a sign system
 splits into one system per block and is feasible iff every block system is,
 so each block's 2^|K| patterns are decided once and a chamber's witness
 joins its blocks' samples.  Within a block the patterns run in (size,
@@ -182,19 +182,26 @@ def _curve_components(m: SurfaceModel, curves) -> list[tuple[int, ...]]:
     return pieces
 
 
-def _hereditary_search(m: SurfaceModel, comp: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The negative definite subsets of one component, plus the empty set,
-    by breadth-first growth: a set grows only by curves after its last."""
-    family: list[tuple[int, ...]] = [()]
+def _hereditary_search(m: SurfaceModel, comp: tuple[int, ...]) -> dict[tuple[int, ...], tuple]:
+    """The nonempty negative definite subsets of one component, each mapped
+    to its witness solution: the a_j, j in the set, with
+    (H + sum(a_j C_j)) . C_k = -1 for every k in it.  Breadth-first growth:
+    a set grows only by curves after its last, and one elimination per
+    candidate both tests it and solves it."""
+    h = model.ample_pairings(m)
+    family: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while frontier:
         grown = []
         for s, start in frontier:
             for pos in range(start, len(comp)):
                 t = s + (comp[pos],)
-                if linalg.is_negative_definite(model.restrict_gram(m, t)):
+                sols = linalg.solve_negative_definite(
+                    model.restrict_gram(m, t), [[-1 - h[j] for j in t]]
+                )
+                if sols is not None:
+                    family[t] = sols[0]
                     grown.append((t, pos + 1))
-        family.extend(t for t, _ in grown)
         frontier = grown
     return family
 
@@ -207,7 +214,7 @@ def negative_definite_subsets(m: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     inside each component and the family is the product of theirs."""
     family: list[tuple[int, ...]] = [()]
     for comp in _curve_components(m, range(model.curve_count(m))):
-        local = _hereditary_search(m, comp)
+        local = [(), *_hereditary_search(m, comp)]
         family = [s + t for s in family for t in local]
     return tuple(sorted((tuple(sorted(s)) for s in family), key=lambda s: (len(s), s)))
 
@@ -218,46 +225,46 @@ def _require_negative_definite(m: SurfaceModel, s: tuple[int, ...]) -> None:
 
 
 def enumerate_zariski_chambers(m: SurfaceModel) -> ChamberAtlas:
-    """One chamber per negative definite subset, each record joined from
-    facts worked out once per distinct connected piece of its support (the
-    restricted Gram is block diagonal over the pieces): the witness
-    coefficients, from one elimination that also finds the piece negative
-    definite, checked to be >= 0, with the piece's integer pairing row; the
-    A-D-E label; and the first pair meeting in one point.  Every record's
-    witness is checked on the sum of H's row and its pieces' rows.  W_S
-    lies in Z_S unless a curve c outside S meets S and S + {c} is in the
-    family."""
-    supports = negative_definite_subsets(m)
-    family = set(supports)
+    """One chamber per negative definite subset.  The family is the product of
+    the components' local families, and each record is joined from facts
+    worked out once per nonempty member t of a local family: its witness
+    solution from the search, checked to be >= 0, with its integer pairing
+    row; the (smallest curve, A-D-E label) of each connected piece of t; its
+    first pair meeting in one point; and its first curve c that meets t with
+    t + {c} in the local family.  For c in component K, S + {c} is negative
+    definite iff (S & K) + {c} is, so a record's counterexample to W_S in
+    Z_S and its pair are the least of its members'.  Every record's witness
+    is checked on the sum of H's row and its members' rows."""
     g = model.curve_gram(m)
     ample_row = model.pairing_numerators(m, model.ample_divisor(m))
-    # piece -> (coefficients and integer row, A-D-E label, first pair meeting once)
-    facts: dict = {}
+    # one tuple of member facts per support: (curves, solution, integer
+    # row), labels, counterexample, pair
+    products: list[tuple] = [()]
+    for comp in _curve_components(m, range(model.curve_count(m))):
+        local = _hereditary_search(m, comp)
+        facts: list[tuple] = [()]
+        for t, sol in local.items():
+            c = next((c for c in _curves_meeting(g, t) if tuple(sorted(t + (c,))) in local), None)
+            labels = tuple((p[0], _piece_label(g, p)) for p in _curve_components(m, t))
+            part = (t, sol, _solution_row(m, t, sol))
+            facts.append(((part, labels, c, _pair_meeting_once(g, t)),))
+        products = [p + f for p in products for f in facts]
     records = []
-    for s in supports:
-        pieces = _curve_components(m, s)
-        for piece in pieces:
-            if piece not in facts:
-                sol = _solve_piece(m, piece)
-                require(sol is not None, "zariski atlas: a piece is not negative definite")
-                facts[piece] = (
-                    (piece, sol, _piece_row(m, piece, sol)),
-                    _piece_label(g, piece),
-                    _pair_meeting_once(g, piece),
-                )
-        c = next((c for c in _curves_meeting(g, s) if tuple(sorted(s + (c,))) in family), None)
-        # curves of different pieces do not meet: the least piece pair is s's first
-        pair = min((facts[p][2] for p in pieces if facts[p][2]), default=None)
+    for product in products:
+        parts, labels, cs, pairs = zip(*product) if product else ((),) * 4
+        s = tuple(sorted(j for t, _, _ in parts for j in t))
+        c = min((c for c in cs if c is not None), default=None)
+        pair = min((p for p in pairs if p), default=None)
         records.append(
             ChamberRecord(
                 support=s,
-                witness=_join_witness(m, s, ample_row, [facts[p][0] for p in pieces])
-                if s else model.ample_divisor(m),
-                ade=tuple(facts[p][1] for p in pieces),
+                witness=_join_witness(m, s, ample_row, parts) if s else model.ample_divisor(m),
+                ade=tuple(label for _, label in sorted(x for ls in labels for x in ls)),
                 weyl_in_zariski=InclusionVerdict(c is None, c),
                 zariski_interior_in_weyl=InteriorInclusionVerdict(pair is None, pair),
             )
         )
+    records.sort(key=lambda r: (len(r.support), r.support))
     return ChamberAtlas(ChamberKind.ZARISKI, tuple(records))
 
 
@@ -405,36 +412,25 @@ def verify_bijection(zariski_atlas: ChamberAtlas, weyl_atlas: ChamberAtlas) -> B
 # ---------------------------------------------------------------------------
 
 
-def _solve_piece(m: SurfaceModel, piece: tuple[int, ...]) -> tuple[Fraction, ...] | None:
-    """The coefficients a_j, j in the connected piece, with
-    (H + sum(a_j C_j)) . C_k = -1 for every k in it, or None when the piece
-    is not negative definite: one elimination tests and solves."""
-    h = model.ample_pairings(m)
-    sols = linalg.solve_negative_definite(
-        model.restrict_gram(m, piece), [[Fraction(-1) - h[j] for j in piece]]
-    )
-    return None if sols is None else sols[0]
-
-
-def _piece_row(m: SurfaceModel, piece: tuple[int, ...], sol) -> tuple[tuple[int, ...], int]:
-    """The solution of one connected piece, checked to be >= 0, and the
-    pairings of sum(a_j C_j), j in the piece, with every listed curve, as
-    integer numerators over a denominator > 0."""
+def _solution_row(m: SurfaceModel, curves: tuple[int, ...], sol) -> tuple[tuple[int, ...], int]:
+    """The witness solution on a negative definite curve set, checked to be
+    >= 0, and the pairings of sum(a_j C_j), j in the set, with every listed
+    curve, as integer numerators over a denominator > 0."""
     require(all(x >= 0 for x in sol), "weyl_witness: negative coefficient")
     a = [Fraction(0)] * model.curve_count(m)
-    for j, x in zip(piece, sol):
+    for j, x in zip(curves, sol):
         a[j] = x
     return model.pairing_numerators(m, model.divisor_from_ample_and_curves(m, 0, a))
 
 
 def _join_witness(m: SurfaceModel, s: tuple[int, ...], ample_row, parts) -> DivisorClass:
-    """D = H + sum(a_i C_i) from the connected pieces of s, each given as
-    (piece, solution, integer row), checked to meet s in -1 and every other
-    curve positively.  D . C_c is H's row plus the pieces' rows, summed in
-    integers over the lcm of their denominators; the check runs on every
-    call, also under ``python -O``.  The pieces are orthogonal, so each
-    one's solution holds in the join, and the witness is built from the
-    pieces' own coefficients."""
+    """D = H + sum(a_i C_i) from mutually orthogonal curve sets that make up
+    s, each given as (curves, solution, integer row), checked to meet s in
+    -1 and every other curve positively.  D . C_c is H's row plus the
+    parts' rows, summed in integers over the lcm of their denominators; the
+    check runs on every call, also under ``python -O``.  The parts are
+    orthogonal, so each one's solution holds in the join, and the witness
+    is built from the parts' own coefficients."""
     rows = [ample_row, *(row for _, _, row in parts)]
     den = math.lcm(*(d for _, d in rows))
     scaled = (r if d == den else [x * (den // d) for x in r] for r, d in rows)
@@ -445,8 +441,8 @@ def _join_witness(m: SurfaceModel, s: tuple[int, ...], ample_row, parts) -> Divi
         "weyl_witness: nonpositive pairing outside the support",
     )
     a = [Fraction(0)] * model.curve_count(m)
-    for piece, sol, _ in parts:
-        for j, x in zip(piece, sol):
+    for curves, sol, _ in parts:
+        for j, x in zip(curves, sol):
             a[j] = x
     return model.divisor_from_ample_and_curves(m, 1, a)
 
@@ -456,22 +452,18 @@ def weyl_witness(m: SurfaceModel, s) -> DivisorClass:
 
     The solve is against the negative definite restricted Gram; the inverse
     has nonpositive entries, so the coefficients come out nonnegative, and
-    D meets every curve outside s positively.  The restricted Gram is block
-    diagonal over the connected pieces of s, so s is negative definite iff
-    every piece is: each piece is tested and solved by one elimination of
-    its own, and the pieces are joined and checked as in the Zariski atlas.
+    D meets every curve outside s positively.  One elimination tests s and
+    solves it, and the solution is checked as in the Zariski atlas.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("witness construction needs a nonempty support")
-    model.check_curve_indices(m, s)  # the split reads the Gram by index
-    pieces = _curve_components(m, s)
-    sols = [_solve_piece(m, piece) for piece in pieces]
-    if None in sols:
+    h = model.ample_pairings(m)
+    sols = linalg.solve_negative_definite(model.restrict_gram(m, s), [[-1 - h[j] for j in s]])
+    if sols is None:
         raise NotNegativeDefinite("curve set %r is not negative definite" % (list(s),))
     ample_row = model.pairing_numerators(m, model.ample_divisor(m))
-    parts = [(piece, sol, _piece_row(m, piece, sol)) for piece, sol in zip(pieces, sols)]
-    return _join_witness(m, s, ample_row, parts)
+    return _join_witness(m, s, ample_row, [(s, sols[0], _solution_row(m, s, sols[0]))])
 
 
 def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:
@@ -482,6 +474,7 @@ def divergence_witness(m: SurfaceModel, i: int, j: int) -> DivisorClass:
     D = H + (x_1 + 1) C_i + (x_2 + 3) C_j.  Its sign pattern (negative on
     C_j, positive on every other curve) is checked in integers per call.
     """
+    model.check_curve_indices(m, (i, j))
     g = model.curve_gram(m)
     if i == j or g[i][j] != 1:
         raise ValueError("curves %d, %d do not meet in one point" % (i, j))

@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from . import chambers, gallery, model, plot, zariski
-from .errors import InvalidModel, InvariantViolated, K3ChambersError
+from .errors import InvalidModel, InvariantViolated, K3ChambersError, SizeLimit
 
 SCHEMA_VERSION = 1
 
@@ -455,6 +455,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit(_error_doc(exc, "invalid_input"))
         return 2
+    except MemoryError:
+        pass
+    # out of the except block, the traceback and the partial work are freed
+    _emit(_error_doc(SizeLimit("out of memory"), SizeLimit.code))
+    return SizeLimit.exit_code
 
 
 if __name__ == "__main__":

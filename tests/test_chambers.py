@@ -189,6 +189,9 @@ def test_out_of_range_curve_indices_are_typed_errors(quartic, s):
     for call in (weyl_witness, classify_ade, weyl_in_zariski, zariski_interior_in_weyl):
         with pytest.raises(IndexOutOfRange, match=message(s)):
             call(m, s)
+    pair = s if len(s) == 2 else (*s, 0)
+    with pytest.raises(IndexOutOfRange, match=message(pair)):
+        divergence_witness(m, *pair)
     valid = tuple(i for i in s if 0 <= i < 3)
     cprime = next(c for c in range(3) if c not in s)
     with pytest.raises(IndexOutOfRange, match=message(s + (cprime,))):
@@ -425,36 +428,6 @@ def test_configuration_mode_signatures(quartic):
 # ---------------------------------------------------------------------------
 
 
-def test_zariski_atlas_tests_definiteness_only_in_the_search(monkeypatch):
-    """Past the search, the records test no set for definiteness: W_S in
-    Z_S is decided by membership in the family the search found, and each
-    piece's witness solve tests that piece."""
-    m = gallery.random_configuration(3, 7, 0.2)
-    calls = []
-    original = linalg.is_negative_definite
-    monkeypatch.setattr(
-        linalg, "is_negative_definite", lambda s: calls.append(s) or original(s)
-    )
-    negative_definite_subsets(m)
-    in_search = len(calls)
-    enumerate_zariski_chambers(m)
-    assert in_search > 0
-    assert len(calls) == 2 * in_search
-
-
-def test_zariski_atlas_splits_each_support_once(monkeypatch):
-    """The witness and the A-D-E labels of a record share one split of its
-    support into connected pieces; the search splits the curves once more."""
-    m = gallery.random_configuration(0, 8, 0.2)
-    calls = []
-    original = chambers._curve_components
-    monkeypatch.setattr(
-        chambers, "_curve_components", lambda m, s: calls.append(s) or original(m, s)
-    )
-    records = enumerate_zariski_chambers(m).records
-    assert len(calls) == len(records) + 1
-
-
 def _count_eliminations(monkeypatch) -> list:
     calls = []
     real = linalg._eliminate
@@ -462,11 +435,47 @@ def _count_eliminations(monkeypatch) -> list:
     return calls
 
 
+def test_zariski_atlas_tests_definiteness_only_in_the_search(monkeypatch):
+    """Past the search, the records test no set for definiteness and solve
+    nothing: W_S in Z_S is decided by membership in the local families the
+    search found, and each member's witness solution is the one that its
+    search elimination gave."""
+    m = gallery.random_configuration(3, 7, 0.2)
+    nd_tests = []
+    original = linalg.is_negative_definite
+    monkeypatch.setattr(
+        linalg, "is_negative_definite", lambda s: nd_tests.append(s) or original(s)
+    )
+    calls = _count_eliminations(monkeypatch)
+    negative_definite_subsets(m)
+    in_search = len(calls)
+    calls.clear()
+    enumerate_zariski_chambers(m)
+    assert in_search > 0
+    assert len(calls) == in_search
+    assert not nd_tests
+
+
+def test_zariski_atlas_splits_each_support_once(monkeypatch):
+    """No record splits its support: the curves are split into components
+    once, and each nonempty member of a component's local family once into
+    its connected pieces, for its A-D-E labels."""
+    m = gallery.random_configuration(0, 8, 0.2)
+    members = _members(m)
+    calls = []
+    original = chambers._curve_components
+    monkeypatch.setattr(
+        chambers, "_curve_components", lambda m, s: calls.append(s) or original(m, s)
+    )
+    records = enumerate_zariski_chambers(m).records
+    assert len(calls) == 1 + len(members) < len(records)
+
+
 def test_one_elimination_tests_definiteness_and_solves(monkeypatch, quartic):
     """Where a Gram must be negative definite and is then solved against,
-    one elimination does both: per growth step of a decomposition, per
-    call of weyl_only_witness and of inverse_nonpositive_check, and per
-    connected piece of a standalone witness."""
+    one elimination does both: per growth step of a decomposition, and per
+    call of weyl_witness (however many connected pieces its support has),
+    of weyl_only_witness and of inverse_nonpositive_check."""
     m = gallery.random_configuration(0, 8, 0.2)
     rng = random.Random(5)
     divisors = [sample_big_divisor(m, rng) for _ in range(30)]
@@ -492,9 +501,9 @@ def test_one_elimination_tests_definiteness_and_solves(monkeypatch, quartic):
         zariski.zariski_decompose(m, d)
         assert len(calls) == k
         calls.clear()
-    for s, k in zip(supports, pieces):
+    for s in supports:
         weyl_witness(m, s)
-        assert len(calls) == k
+        assert len(calls) == 1
         calls.clear()
     for s, c in extensions:
         weyl_only_witness(m, s, c)
@@ -512,7 +521,7 @@ def test_one_elimination_tests_definiteness_and_solves(monkeypatch, quartic):
 @pytest.mark.parametrize("seed", range(4))
 def test_family_membership_matches_the_guarded_criteria(seed):
     """The atlas decides W_S in Z_S by membership in its family and joins
-    the rest of each record from the pieces of S; every record equals what
+    the rest of each record from the members of S; every record equals what
     the single-support functions give, which test definiteness themselves."""
     m = gallery.random_configuration(seed, 6, 0.4)
     for r in enumerate_zariski_chambers(m).records:
@@ -523,50 +532,50 @@ def test_family_membership_matches_the_guarded_criteria(seed):
         assert r.witness == (weyl_witness(m, s) if s else model.ample_divisor(m))
 
 
+# the atlas-sparse benchmark pool: graph seeds 0..k-1 at each curve count
+ATLAS_SPARSE_POOL = [
+    (seed, n, 0.2) for n, k in {6: 6, 7: 6, 8: 12, 9: 6}.items() for seed in range(k)
+]
+
+
 def test_zariski_atlas_solves_each_distinct_piece_once(monkeypatch):
-    """Beyond the search's definiteness tests, the atlas runs one
-    elimination per distinct connected piece of its supports, however many
-    supports share that piece."""
-    m = gallery.random_configuration(0, 8, 0.2)
-    occurrences = [
-        p for s in negative_definite_subsets(m) for p in chambers._curve_components(m, s)
-    ]
-    distinct = set(occurrences)
-    assert len(occurrences) > len(distinct) > 1
-    calls = []
-    real = linalg.solve_negative_definite
-    monkeypatch.setattr(
-        linalg, "solve_negative_definite", lambda s, rhs=(): calls.append(s) or real(s, rhs)
-    )
-    negative_definite_subsets(m)
-    in_search = len(calls)
-    calls.clear()
-    enumerate_zariski_chambers(m)
-    assert len(calls) == in_search + len(distinct)
+    """The atlas runs one elimination per candidate of its search, which
+    both tests the candidate and solves for its witness, however many
+    supports share a member: 1255 on the atlas-sparse pool, and 13 for the
+    4096 records of the n = 12 model."""
+    cases = [(ATLAS_SPARSE_POOL, 1255), ([(0, 12, 0.1)], 13)]
+    pools = [[gallery.random_configuration(*args) for args in pool] for pool, _ in cases]
+    candidates = [sum(_search_candidates(m) for m in models) for models in pools]
+    calls = _count_eliminations(monkeypatch)
+    for models, (_, eliminations), k in zip(pools, cases, candidates):
+        calls.clear()
+        records = sum(len(enumerate_zariski_chambers(m).records) for m in models)
+        assert len(calls) == k == eliminations < records
 
 
 def test_a_wrong_piece_row_fails_every_record_check(monkeypatch, tmp_path, capsys):
-    """Each record's witness is checked on its pieces' integer rows, not on
-    their solutions: with one piece's row off in a single entry and every
-    solution right, ``chambers`` ends in an internal_invariant report.  The
-    check is an explicit raise, so it also holds under ``python -O``."""
+    """Each record's witness is checked on its members' integer rows, not
+    on their solutions: with one member's row off in a single entry and
+    every solution right, ``chambers`` ends in an internal_invariant report.
+    The check is an explicit raise, so it also holds under ``python -O``."""
     m = gallery.random_configuration(0, 8, 0.2)
     path = tmp_path / "pieces.json"
     path.write_text(model.model_to_json(m))
     assert cli.main(["chambers", str(path)]) == 0
     capsys.readouterr()
-    real = chambers._piece_row
-    target = max(p for s in negative_definite_subsets(m) for p in chambers._curve_components(m, s))
+    real = chambers._solution_row
+    target = max(_members(m), key=lambda t: (len(t), t))
+    assert len(target) > 1
 
-    def corrupted(m, piece, sol):
-        nums, den = real(m, piece, sol)
-        if piece != target:
+    def corrupted(m, curves, sol):
+        nums, den = real(m, curves, sol)
+        if curves != target:
             return nums, den
         nums = list(nums)
-        nums[piece[0]] += 1
+        nums[curves[0]] += 1
         return tuple(nums), den
 
-    monkeypatch.setattr(chambers, "_piece_row", corrupted)
+    monkeypatch.setattr(chambers, "_solution_row", corrupted)
     assert cli.main(["chambers", str(path)]) == 4
     assert json.loads(capsys.readouterr().out)["error"] == {
         "code": "internal_invariant", "message": "weyl_witness: pairing with the support is not -1",
@@ -671,21 +680,47 @@ def test_weyl_enumeration_refuses_too_many_curves():
 # ---------------------------------------------------------------------------
 
 
-def _component_sizes(m):
+def _components(m) -> list[set[int]]:
     g = model.curve_gram(m)
     left = set(range(model.curve_count(m)))
-    sizes = []
+    comps = []
     while left:
-        stack = [left.pop()]
-        size = 1
+        comp = {left.pop()}
+        stack = list(comp)
         while stack:
             v = stack.pop()
             linked = {w for w in left if g[v][w]}
             left -= linked
             stack.extend(linked)
-            size += len(linked)
-        sizes.append(size)
-    return sorted(sizes)
+            comp |= linked
+        comps.append(comp)
+    return comps
+
+
+def _component_sizes(m):
+    return sorted(len(comp) for comp in _components(m))
+
+
+def _local_families(m) -> list[tuple[set[int], set[tuple[int, ...]]]]:
+    """Each component with its local family: the parts in it of the
+    negative definite subsets, the empty part included."""
+    family = negative_definite_subsets(m)
+    return [(comp, {tuple(i for i in s if i in comp) for s in family}) for comp in _components(m)]
+
+
+def _members(m) -> set[tuple[int, ...]]:
+    """The members that the Zariski atlas records are joined from."""
+    return {t for _, local in _local_families(m) for t in local if t}
+
+
+def _search_candidates(m) -> int:
+    """The sets the hereditary search eliminates: each member of a local
+    family, the empty one included, grown by each curve of the component
+    after its last."""
+    return sum(
+        sum(c > max(t, default=-1) for c in comp)
+        for comp, local in _local_families(m) for t in local
+    )
 
 
 def _full_lattice(m):
@@ -749,6 +784,25 @@ def test_oracle_models_cover_the_component_shapes():
     assert len(shapes["full lattice multi 0/8"]) > 1 and len(shapes["full lattice multi 1/9"]) > 1
     assert shapes["isolated 4/6"] == [1] * 6 and shapes["isolated 5"] == [1] * 5
     assert shapes["n0"] == [] and shapes["n1"] == [1]
+
+
+def test_oracle_records_take_their_verdicts_from_several_members():
+    """A record's counterexample and pair are the least of its members'.
+    Some oracle record has members with two different counterexamples, and
+    some has members with two different pairs, each member's taken from the
+    single-support functions; so the oracle comparison below tells the
+    least from any other choice."""
+    spans = set()
+    for make in ORACLE_MODELS.values():
+        m = make()
+        comps = _components(m)
+        for s in negative_definite_subsets(m):
+            members = [t for comp in comps if (t := tuple(i for i in s if i in comp))]
+            if len({weyl_in_zariski(m, t).counterexample for t in members} - {None}) > 1:
+                spans.add("counterexample")
+            if len({zariski_interior_in_weyl(m, t).pair for t in members} - {None}) > 1:
+                spans.add("pair")
+    assert spans == {"counterexample", "pair"}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))

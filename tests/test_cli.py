@@ -342,8 +342,9 @@ def test_corrupted_infeasibility_certificate_exits_4(capsys, quartic_file, monke
 
 
 def test_wrong_piece_solve_in_the_atlas_exits_4(capsys, tmp_path, monkeypatch):
-    """The atlas solves each connected piece once and reuses it; a wrong
-    piece solution is still caught by the checks on the record."""
+    """The atlas solves each member of a component's local family once and
+    reuses it; a wrong member solution is still caught by the checks on the
+    record."""
     path = tmp_path / "pieces.json"
     path.write_text(model.model_to_json(gallery.random_configuration(0, 8, 0.2)))
     _inject_wrong_solutions(monkeypatch)
@@ -386,6 +387,43 @@ def test_chambers_refuses_more_than_twelve_curves(capsys, tmp_path, n):
     code, out, _ = run_cli(capsys, "chambers", _disjoint_curves_model(tmp_path, n))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "size_limit"
+
+
+_UNDER_MEMORY_CAP = """
+import sys
+try:
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+except (ImportError, ValueError, OSError) as exc:
+    print("cannot cap the address space: %s" % exc, file=sys.stderr)
+    sys.exit(99)
+from k3chambers import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_running_out_of_memory_is_a_size_limit(tmp_path):
+    """Under a 64 MB address-space cap, which the child process sets on
+    itself, the 4096-chamber report of random_configuration(0, 12, 0.1)
+    either completes or ends in a size_limit report with exit 2, never in
+    a traceback."""
+    path = tmp_path / "r12.json"
+    path.write_text(model.model_to_json(gallery.random_configuration(0, 12, 0.1)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, "chambers", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    if proc.returncode == 99:
+        pytest.skip(proc.stderr.strip())
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 2), proc.stderr
+    doc = json.loads(proc.stdout)
+    if proc.returncode == 2:
+        assert doc["error"] == {"code": "size_limit", "message": "out of memory"}
+    else:
+        assert len(doc["zariski"]["family"]) == 4096
 
 
 def test_plot_eliminates_only_the_supports_its_samples_reach(capsys, tmp_path, monkeypatch):
