@@ -97,11 +97,12 @@ def _encode(value, indent: str, out: list) -> None:
 def _emit(doc: dict) -> None:
     """Write the report as ``json.dumps(doc, indent=2)`` does, and a
     newline.  The whole text is built before anything is written, so a
-    report that cannot be written leaves stdout empty for its error."""
+    report that cannot be written leaves stdout empty for its error; its
+    parts are written without being joined, so it is not held twice."""
     out: list = []
     _encode(doc, "", out)
     out.append("\n")
-    sys.stdout.write("".join(out))
+    sys.stdout.writelines(out)
 
 
 def _banner() -> None:

@@ -431,13 +431,30 @@ def _printable(n: int) -> bool:
 
 
 def _rat_from_json(value) -> Fraction:
-    if type(value) is int:  # a plain integer (not a bool) needs no parsing
-        x, printable = Fraction(value), _printable(value)
+    """A model or divisor entry: an integer, or a rational string such as
+    ``"3/2"`` or ``"5e-3"``; a bool or any other value is refused."""
+    if type(value) is int and _printable(value):  # the common case: no parsing
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            # Fraction("1e10000000") computes 10**10000000, so a large
+            # exponent is refused before it is applied
+            exponent = _EXPONENT.search(value)
+            if exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT:
+                raise InvalidModel(
+                    "exponent of rational string %r exceeds %d in magnitude" % (value, MAX_EXPONENT)
+                )
+            x = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidModel("bad rational string %r" % value) from exc
+    elif isinstance(value, bool):
+        raise InvalidModel("boolean is not a rational number")
+    elif isinstance(value, int):
+        x = Fraction(value)
     else:
-        x = _parse_rat(value)
-        printable = _printable(x.numerator) and _printable(x.denominator)
+        raise InvalidModel("expected integer or 'p/q' string, got %r" % (value,))
     # a value the reports could not print is refused here, not while printing
-    if not printable:
+    if not (_printable(x.numerator) and _printable(x.denominator)):
         raise InvalidModel("rational value has more digits than an integer string may have")
     return x
 
@@ -449,26 +466,6 @@ def _json_array(value, what: str) -> list:
     if not isinstance(value, list):
         raise InvalidModel("%s must be a JSON array" % what)
     return value
-
-
-def _parse_rat(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InvalidModel("boolean is not a rational number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            # Fraction("1e10000000") computes 10**10000000, so a large
-            # exponent is refused before it is applied
-            exponent = _EXPONENT.search(value)
-            if exponent is not None and abs(int(exponent.group(1))) > MAX_EXPONENT:
-                raise InvalidModel(
-                    "exponent of rational string %r exceeds %d in magnitude" % (value, MAX_EXPONENT)
-                )
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidModel("bad rational string %r" % value) from exc
-    raise InvalidModel("expected integer or 'p/q' string, got %r" % (value,))
 
 
 def model_to_document(m: SurfaceModel) -> dict:

@@ -16,7 +16,6 @@ supports that some sample's growth reaches are ever eliminated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -24,7 +23,7 @@ from itertools import groupby
 from operator import mul
 
 from . import linalg, model, zariski
-from .errors import DegenerateCorners, InvalidModel, SizeLimit
+from .errors import DegenerateCorners, SizeLimit
 from .model import DivisorClass, Mode, SurfaceModel
 
 MODE_WEYL = "weyl"
@@ -57,10 +56,10 @@ class CrossSection:
 
     Each sample is (u1, u2, u3, weyl_support, weyl_boundary,
     zariski_support, zariski_boundary); the barycentric coordinates are
-    u / (3 * resolution).  Support fields are None when the sample is not
-    big (such samples stay uncolored); samples with equal supports share
-    one tuple.  ``attained`` holds the supports that occur, Weyl then
-    Zariski."""
+    u / (3 * resolution).  Support fields are None, and wall flags False,
+    when the sample is not big (such samples stay uncolored); samples with
+    equal supports share one tuple.  ``attained`` holds the supports that
+    occur, Weyl then Zariski."""
 
     resolution: int
     samples: tuple
@@ -108,24 +107,18 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     res = spec.resolution
     n = model.curve_count(m)
 
-    corner_dots = [model.pairings_with_curves(m, c) for c in corners]
-    corner_prods = [[model.pair(m, a, b) for b in corners] for a in corners]
-    amp = model.ample_divisor(m)
-    corner_amp = [model.pair(m, c, amp) for c in corners]
-    h = model.ample_pairings(m)
-
-    fracs = [x for row in corner_dots for x in row]
-    fracs += [x for row in corner_prods for x in row]
-    fracs += list(corner_amp) + list(h)
-    den = math.lcm(1, *(f.denominator for f in fracs))
-    cd = [[int(x * den) for x in row] for row in corner_dots]
-    cp = [[int(x * den) for x in row] for row in corner_prods]
-    ca = [int(x * den) for x in corner_amp]
-    hh = [int(x * den) for x in h]
+    # one integer table over one denominator den: per corner and then H, its
+    # pairings with the corners and H, then with the curves
+    points = (*corners, model.ample_divisor(m))
+    flat, den = linalg.over_common_denominator(
+        x for a in points
+        for x in (*(model.pair(m, a, b) for b in points), *model.pairings_with_curves(m, a))
+    )
+    w = 4 + n
+    g = [flat[k * w:k * w + 4] for k in range(4)]
+    cd1, cd2, cd3, hh = (flat[k * w + 4:(k + 1) * w] for k in range(4))
 
     gram, c = m.integer_curve_gram
-    if any(x % c for row in gram for x in row):
-        raise InvalidModel("cross-section classification needs an integral curve Gram")
     # curve set -> its support_table (or None), built on first use
     tables: dict = {}
 
@@ -138,7 +131,7 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     attained = ({}, {})
 
     def classify(u1: int, u2: int, u3: int):
-        q = [u1 * cd[0][i] + u2 * cd[1][i] + u3 * cd[2][i] for i in range(n)]
+        q = [u1 * a + u2 * b + u3 * d for a, b, d in zip(cd1, cd2, cd3)]
         s, tab, x, zero = zariski.grow_support(q, table)
         if tab is None or (s and min(x) <= 0):
             return (None, False, None, False)
@@ -146,10 +139,10 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
         # det = tab[1] (N = sum of c x_j / (det * den) C_j)
         det = tab[1]
         q2 = (
-            u1 * u1 * cp[0][0] + u2 * u2 * cp[1][1] + u3 * u3 * cp[2][2]
-            + 2 * (u1 * u2 * cp[0][1] + u1 * u3 * cp[0][2] + u2 * u3 * cp[1][2])
+            u1 * u1 * g[0][0] + u2 * u2 * g[1][1] + u3 * u3 * g[2][2]
+            + 2 * (u1 * u2 * g[0][1] + u1 * u3 * g[0][2] + u2 * u3 * g[1][2])
         )
-        qh = u1 * ca[0] + u2 * ca[1] + u3 * ca[2]
+        qh = u1 * g[0][3] + u2 * g[1][3] + u3 * g[2][3]
         t1, t2 = det * den * q2, det * den * qh
         if s:
             t1 -= c * sum(map(mul, x, [q[j] for j in s]))
@@ -163,16 +156,14 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
             attained[1].setdefault(s, s), bool(zero),
         )
 
+    # per row, the upward triangles (offset 1), then the downward ones
+    # (offset 2), which the last row has none of
     samples = []
     for level in range(res):
-        k3 = 3 * (res - level) - 2
-        for i in range(level + 1):
-            u1, u2, u3 = 3 * i + 1, 3 * (level - i) + 1, k3
-            samples.append((u1, u2, u3, *classify(u1, u2, u3)))
-        if level <= res - 2:
-            k3d = 3 * (res - level) - 4
-            for i in range(level + 1):
-                u1, u2, u3 = 3 * i + 2, 3 * (level - i) + 2, k3d
+        for off in (1, 2):
+            u3 = 3 * (res - level) - 2 * off
+            for i in range(level + 1 if u3 > 0 else 0):
+                u1, u2 = 3 * i + off, 3 * (level - i) + off
                 samples.append((u1, u2, u3, *classify(u1, u2, u3)))
     return CrossSection(
         res, tuple(samples), corners, spec.coloring,
@@ -243,9 +234,11 @@ def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[
     # and a count, turned into a pixel centroid only at the end
     attained: dict[tuple[int, ...], list] = {}
 
-    # runs of row-major consecutive samples with equal u3 and color key; u2
-    # falls along a row, so a run's first sample is its right end
-    for (u3, key), run in groupby(cs.samples, key=lambda s: (s[2], _color_key(s, kind))):
+    # runs of row-major consecutive samples with equal u3 and color key: the
+    # support, or "boundary" when the wall flag next to it is set; u2 falls
+    # along a row, so a run's first sample is its right end
+    f = 3 if kind == MODE_WEYL else 5
+    for (u3, key), run in groupby(cs.samples, key=lambda s: (s[2], "boundary" if s[f + 1] else s[f])):
         if key is None:
             continue
         run = list(run)
@@ -307,16 +300,6 @@ def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[
         ly += 18
     parts.append("</g>")
     return parts
-
-
-def _color_key(sample, kind: str):
-    if kind == MODE_WEYL:
-        sup, bound = sample[3], sample[4]
-    else:
-        sup, bound = sample[5], sample[6]
-    if sup is None:
-        return None
-    return "boundary" if bound else sup
 
 
 def _corner_names(m: SurfaceModel, corners) -> list[str]:

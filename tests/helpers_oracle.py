@@ -10,6 +10,10 @@ engine's atlases are products over: every one of the 2^n sign patterns is
 one Fourier-Motzkin system on all n variables, every subset gets its own
 negative definiteness test, and every witness is one solve on its whole
 support.
+
+The polyhedral oracle of the comparison criteria decides, for every pair
+of negative definite sets, whether a Weyl chamber meets the interior of a
+Zariski chamber, by one Fourier-Motzkin system per pair.
 """
 
 from fractions import Fraction
@@ -17,6 +21,7 @@ from itertools import combinations
 
 from k3chambers import chambers, linalg, model
 from k3chambers.chambers import ChamberRecord, InclusionVerdict, InteriorInclusionVerdict
+from k3chambers.linalg import SENSE_GT, SENSE_LT, LinearSystemFeasibility, SignConstraint
 from k3chambers.model import SurfaceModel
 
 
@@ -119,3 +124,42 @@ def valid_supports_brute_force(m: SurfaceModel, d) -> list[tuple[int, ...]]:
         if residual_ok:
             valid.append(t_set)
     return valid
+
+
+def criteria_cells(m: SurfaceModel) -> dict:
+    """On the slice D = H + sum(a_i C_i), a >= 0, where every D is big: for
+    each pair (S, T) of negative definite sets, the ``fm_feasible`` result of
+    W_S meeting int Z_T.  W_S is D.C_j < 0 on S and > 0 off S.  int Z_T is
+    x > 0 for the negative part's coefficients x = G_T^-1 (D.C_T), and
+    P.C_k > 0 off T for the nef part P = D - sum(x_j C_j); G_T^-1 is the
+    adjugate over the determinant, not read from the atlas."""
+    n = model.curve_count(m)
+    g = model.curve_gram(m)
+    h = model.ample_pairings(m)
+    family = nd_family_brute_force(m)
+    weyl = {
+        s: [SignConstraint(g[j], h[j], SENSE_LT if j in s else SENSE_GT) for j in range(n)]
+        for s in family
+    }
+    interior = {}
+    for t in family:
+        det, adj = linalg.adjugate(model.restrict_gram(m, t))
+        # x_i = sum over l of G_T^-1[i][l] (h + g a)_{t_l}, as (coefficients of a, constant)
+        x = [
+            ([sum(b * g[j][v] for b, j in zip(row, t)) / det for v in range(n)],
+             sum(b * h[j] for b, j in zip(row, t)) / det)
+            for row in adj
+        ]
+        rows = [SignConstraint(tuple(c), k, SENSE_GT) for c, k in x]
+        for k in range(n):
+            if k not in t:
+                coeffs = [g[k][v] - sum(g[k][j] * c[v] for j, (c, _) in zip(t, x)) for v in range(n)]
+                const = h[k] - sum(g[k][j] * c0 for j, (_, c0) in zip(t, x))
+                rows.append(SignConstraint(tuple(coeffs), const, SENSE_GT))
+        interior[t] = rows
+    return {
+        (s, t): linalg.fm_feasible(
+            LinearSystemFeasibility(n, tuple(weyl[s] + interior[t]), frozenset(range(n)))
+        )
+        for s in family for t in family
+    }

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers_oracle import (
+    criteria_cells,
     nd_family_brute_force,
     sample_big_divisor,
     weyl_records_exhaustive,
@@ -317,6 +318,38 @@ def test_coincidence_equals_all_inclusions(seed):
         for s in fam
     )
     assert coincide == all_hold
+
+
+@pytest.mark.parametrize(
+    "m",
+    [gallery.quartic_example().model, gallery.double_cover_example().model]
+    + [gallery.random_configuration(seed, n, 0.4)
+       for seed, n in [(4, 4), (6, 4), (0, 5), (1, 5), (4, 5), (2, 6), (3, 6), (5, 6)]],
+)
+def test_criteria_match_the_polyhedral_oracle(m):
+    """On the slice H + sum(a_i C_i), a >= 0: every W_S meets int Z_S; W_S
+    meets some other int Z_T exactly when weyl_in_zariski(S) fails; int Z_T
+    meets some other W_S exactly when zariski_interior_in_weyl(T) fails; and
+    the table is diagonal exactly when the decompositions coincide.  Each
+    feasible cell's sample is a divisor of that Weyl and Zariski chamber."""
+    # the models are hyperbolic, as a K3 surface's are
+    assert linalg.signature(m.pairing_form[0])[0] == 1
+    cells = criteria_cells(m)
+    family = nd_family_brute_force(m)
+    feasible = {cell for cell, res in cells.items() if res.feasible}
+    for s in family:
+        assert (s, s) in feasible
+        meets_other = any((s, t) in feasible for t in family if t != s)
+        assert meets_other == (not weyl_in_zariski(m, s).holds)
+        met_by_other = any((t, s) in feasible for t in family if t != s)
+        assert met_by_other == (not zariski_interior_in_weyl(m, s).holds)
+    assert all(s == t for s, t in feasible) == decompositions_coincide(m).coincide
+    for s, t in feasible:
+        d = model.divisor_from_ample_and_curves(m, 1, cells[s, t].sample)
+        dots = model.pairings_with_curves(m, d)
+        assert 0 not in dots and tuple(j for j, x in enumerate(dots) if x < 0) == s
+        z = zariski.zariski_decompose(m, d)
+        assert z.neg_set == z.null_set == t
 
 
 def test_sign_dichotomy_under_coincidence(double_cover):

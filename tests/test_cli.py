@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -402,16 +404,27 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_running_out_of_memory_is_a_size_limit(tmp_path):
+@pytest.fixture(scope="module")
+def r12_report(tmp_path_factory):
+    """The model file of random_configuration(0, 12, 0.1) and its uncapped
+    4096-chamber ``chambers`` report (4.9 MB)."""
+    path = tmp_path_factory.mktemp("r12") / "r12.json"
+    path.write_text(model.model_to_json(gallery.random_configuration(0, 12, 0.1)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["chambers", str(path)]) == 0
+    return str(path), out.getvalue()
+
+
+def test_running_out_of_memory_is_a_size_limit(r12_report):
     """Under a 64 MB address-space cap, which the child process sets on
     itself, the 4096-chamber report of random_configuration(0, 12, 0.1)
-    either completes or ends in a size_limit report with exit 2, never in
-    a traceback."""
-    path = tmp_path / "r12.json"
-    path.write_text(model.model_to_json(gallery.random_configuration(0, 12, 0.1)))
+    either completes with the uncapped bytes or ends in a size_limit
+    report with exit 2, never in a traceback."""
+    path, uncapped = r12_report
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_CAP, "chambers", str(path)],
+        [sys.executable, "-c", _UNDER_MEMORY_CAP, "chambers", path],
         capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
     )
@@ -419,11 +432,31 @@ def test_running_out_of_memory_is_a_size_limit(tmp_path):
         pytest.skip(proc.stderr.strip())
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 2), proc.stderr
-    doc = json.loads(proc.stdout)
     if proc.returncode == 2:
-        assert doc["error"] == {"code": "size_limit", "message": "out of memory"}
+        assert json.loads(proc.stdout)["error"] == {"code": "size_limit", "message": "out of memory"}
     else:
-        assert len(doc["zariski"]["family"]) == 4096
+        assert proc.stdout == uncapped
+
+
+def test_report_parts_are_written_unjoined(r12_report, monkeypatch):
+    """_emit writes the parts it built without joining them, so the 4.9 MB
+    report is not held a second time as one string: its peak stays under
+    the parts' own size plus half the text."""
+    text = r12_report[1]
+    doc = json.loads(text)
+    parts: list = []
+    cli._encode(doc, "", parts)
+    bound = sys.getsizeof(parts) + sum(map(sys.getsizeof, parts)) + len(text) // 2
+    del parts
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound
 
 
 def test_plot_eliminates_only_the_supports_its_samples_reach(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from helpers_oracle import valid_supports_brute_force
 from k3chambers import chambers, gallery, linalg, model, plot, zariski
-from k3chambers.errors import DegenerateCorners, InvalidModel
+from k3chambers.errors import DegenerateCorners, NotBig
 from k3chambers.model import full_divisor
 from k3chambers.plot import (
     CrossSectionSpec,
@@ -51,14 +51,47 @@ def test_spec_validation(quartic):
         classify_cross_section(m, CrossSectionSpec(corners=dependent, resolution=4))
 
 
-def test_non_integral_curve_gram_is_refused():
-    """The scan tables are integers; a curve Gram entry of 1/2 would be
-    truncated to 0 and the samples misclassified, so it is refused."""
-    m = model.configuration_model(
-        [[-2, "1/2", 0], ["1/2", -2, 0], [0, 0, -2]], ["A", "B", "C"], [1, 1, 1], 4
-    )
-    with pytest.raises(InvalidModel):
-        classify_cross_section(m, CrossSectionSpec(resolution=4))
+def test_rational_curve_gram_classifies_as_the_decomposition():
+    """Curve Gram entries such as 1/2, 3/2 and 1/3, with a rational H^2 or
+    H.C_i, classify exactly: every sample's fields are those of
+    zariski_decompose and the curve pairings, and a sample that is not big
+    is one that zariski_decompose refuses, with the default corners and
+    with corners H + C_0, H + C_1, H - 3 C_2 that leave the big cone."""
+    cases = [
+        ([[-2, "1/2", 0], ["1/2", -2, 0], [0, 0, -2]], [1, 1, 1], 4),
+        ([[-2, "1/2", 0], ["1/2", "-3/2", "1/3"], [0, "1/3", -2]], [1, "1/2", 1], "7/2"),
+        ([["-3/2", 1, 0, "1/2"], [1, -2, "1/3", 0], [0, "1/3", "-5/2", 1], ["1/2", 0, 1, -2]],
+         ["1/3", 1, "1/2", "2/3"], "5/2"),
+    ]
+    for gram, dots, square in cases:
+        m = model.configuration_model(gram, ["C%d" % i for i in range(len(gram))], dots, square)
+        h = model.ample_divisor(m)
+        c = [model.curve_divisor(m, i) for i in range(3)]
+        leaving = (
+            model.add_divisors(m, h, c[0]),
+            model.add_divisors(m, h, c[1]),
+            model.add_divisors(m, h, model.scale_divisor(m, -3, c[2])),
+        )
+        for corners in (None, leaving):
+            cs = classify_cross_section(m, CrossSectionSpec(corners=corners, resolution=9))
+            big = 0
+            for u1, u2, u3, *fields in cs.samples:
+                d = model.scale_divisor(m, u1, cs.corners[0])
+                for u, corner in ((u2, cs.corners[1]), (u3, cs.corners[2])):
+                    d = model.add_divisors(m, d, model.scale_divisor(m, u, corner))
+                try:
+                    z = zariski.zariski_decompose(m, d)
+                except NotBig:
+                    assert fields == [None, False, None, False]
+                    continue
+                dots_d = model.pairings_with_curves(m, d)
+                assert fields == [
+                    tuple(i for i, x in enumerate(dots_d) if x < 0), 0 in dots_d,
+                    z.neg_set, z.null_set != z.neg_set,
+                ]
+                big += 1
+            assert len(cs.attained_supports(plot.MODE_ZARISKI)) > 2
+            assert big == len(cs.samples) if corners is None else 0 < big < len(cs.samples)
 
 
 def test_default_corners_need_three_curves():
