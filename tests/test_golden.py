@@ -159,6 +159,28 @@ STDOUT_DIGESTS = {
         ["plot", "random6.json", "--res", "40", "-o", "plot.svg"],
         "02c2e66be1592cd73164ad492c5f7e7be1edec19b4dfcf31d16aa670248d4208",
     ),
+    # the benchmark's grid size on the quartic
+    "plot quartic res 200": (
+        ["plot", "quartic.json", "--res", "200", "-o", "plot.svg"],
+        "439e6da9bab6882b912deaa947048d3782edfacfde93cf9ce44418bfba5a3566",
+    ),
+    # a hyperbolic n = 12 model: the triangle crosses the walls of 12 Weyl
+    # and 13 Zariski chambers, and a quarter of its samples, toward the
+    # corner with t = -1, are not big
+    "plot random n12 wall crossing": (
+        ["plot", "random12.json", "--res", "100", "-o", "plot.svg", "--corners",
+         '{"t":1,"a":[0,0,0,2,0,2,0,0,0,0,1,0]}', '{"t":1,"a":[0,0,1,3,0,3,0,3,0,3,1,1]}',
+         '{"t":-1,"a":[0,3,0,0,3,3,0,0,0,2,2,0]}'],
+        "175b9f4f50db7e3ea16c3c6fd40e4ebf48c299f95d931e42fd202f9acd0b4d8f",
+    ),
+    # a model that is not hyperbolic (inertia (2, 6, 0)): between two big
+    # samples of one chamber on a grid row, one sample here is not big
+    "plot random not hyperbolic": (
+        ["plot", "random.json", "--res", "60", "-o", "plot.svg", "--corners",
+         '{"t":-1,"a":[3,1,-1,-1,3,2,1]}', '{"t":2,"a":[0,-1,1,-1,-1,-1,-1]}',
+         '{"t":-1,"a":[1,2,3,3,3,3,0]}'],
+        "85e59c5774bdb276ae8f447f7a30ce3cb66ec36ced2a94fe0964dee68c1774a3",
+    ),
 }
 
 EXIT_CODES = {
@@ -178,6 +200,9 @@ PLOT_SVG_DIGESTS = {
     "plot quartic wall corners": "838429a1a8a688075a4aaab36f137b230e3d9ed4932dcda370bb466911df0998",
     "plot double-cover": "0e5437105d0b3a7fae742bdc0a70600303e2eff46defa95900ec7b671308f7a3",
     "plot random n6": "a032269917e15f300a1505210c4cc10c1066953500774ee3d8e5053294748590",
+    "plot quartic res 200": "848b4c6bca9e031109b302c22a82d21410f1a3c3267b92b3ae7274ef5b3e7930",
+    "plot random n12 wall crossing": "c142d1ea5f71f4012f7a049bae9a7e7680474a7c5130fd56048d6ed28f3fa033",
+    "plot random not hyperbolic": "2d2ed65bd5f7599b0a3a0f4072c0e163f2639d4b655ed4cf54212aac19e35d5c",
 }
 
 
