@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NotSymmetric, PreconditionViolated, SingularMatrix, require
+from .errors import NotSymmetric, PreconditionViolated, SingularMatrix, SizeLimit, require
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -490,6 +490,13 @@ def _check_certificate(problem: LinearSystemFeasibility, cert: InfeasibilityCert
     )
 
 
+# largest row count one Fourier-Motzkin stage may keep, and largest number
+# of lower-by-upper pairs it may combine: far above the Weyl systems of K3
+# models (at most 223 rows and 924 pairs seen), far below a runaway
+# elimination (one 6-variable system reaches 713,581 rows)
+MAX_FM_ROWS = 100_000
+
+
 def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     """Exact Fourier-Motzkin elimination with native strict inequalities.
 
@@ -503,7 +510,9 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     common denominator, then checked exactly against every original row and
     nonnegativity bound.  When it is infeasible, the contradicting row's
     derivation is walked back to an InfeasibilityCertificate over the input
-    rows, checked exactly against the rational rows in the same way.
+    rows, checked exactly against the rational rows in the same way.  A
+    stage that would combine more than ``MAX_FM_ROWS`` pairs of rows, or
+    keep more than ``MAX_FM_ROWS`` rows, raises SizeLimit.
     """
     n = problem.num_vars
     for row in problem.strict_rows:
@@ -544,6 +553,11 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                     uppers.append(r)
                 else:
                     new.append(r)
+            if len(lowers) * len(uppers) > MAX_FM_ROWS:
+                raise SizeLimit(
+                    "Fourier-Motzkin stage would combine %d row pairs (at most %d)"
+                    % (len(lowers) * len(uppers), MAX_FM_ROWS)
+                )
             limit = len(stages) + 2  # this stage makes k = len(stages) + 1 eliminations
             stages.append((v, lowers, uppers))
             for low in lowers:
@@ -552,6 +566,10 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                     if c is not None:
                         new.append(c)
             rows = _dedupe(new)
+            if len(rows) > MAX_FM_ROWS:
+                raise SizeLimit(
+                    "Fourier-Motzkin stage keeps %d rows (at most %d)" % (len(rows), MAX_FM_ROWS)
+                )
             remaining.discard(v)
     except _Infeasible as contradiction:
         return FeasibilityResult(False, None, _certificate(problem, contradiction.derivation))

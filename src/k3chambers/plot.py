@@ -9,9 +9,16 @@ exact rationals, written with 3 decimals by exact integer round-half-even,
 so output bytes are deterministic for fixed inputs.
 
 Classification runs the decomposition's own engine, ``zariski.grow_support``,
-on each sample's integer pairings with the curves.  The tables of the curve
+on a sample's integer pairings with the curves.  The tables of the curve
 sets it visits are kept for the whole plot and built on first use, so only
-supports that some sample's growth reaches are ever eliminated.
+supports that some sample's growth reaches are ever eliminated.  Each grid
+row is classified by its run ends: two big samples with the same support,
+signs of the curve pairings and null curves enclose only samples of that
+classification, which are filled without being classified, and an
+interval whose ends differ is split at its midpoint.  That holds because
+chambers are convex and, on a hyperbolic form, so is the positive cone; on
+a form that is not hyperbolic every sample is classified.  The classified
+grid is held as runs of samples that share one classification.
 """
 
 from __future__ import annotations
@@ -50,22 +57,45 @@ class CrossSectionSpec:
     coloring: str = MODE_BOTH
 
 
+def _rows(res: int):
+    """The grid's rows in sample order, as (level, offset, u3, sample count):
+    per level the upward triangles (offset 1), then the downward ones
+    (offset 2), which the last level has none of.  Sample i of a row has
+    u1 = 3i + offset and u2 = 3(level - i) + offset."""
+    for level in range(res):
+        for off in (1, 2):
+            u3 = 3 * (res - level) - 2 * off
+            yield level, off, u3, (level + 1 if u3 > 0 else 0)
+
+
 @dataclass(frozen=True)
 class CrossSection:
     """Classified barycentric grid.
 
-    Each sample is (u1, u2, u3, weyl_support, weyl_boundary,
-    zariski_support, zariski_boundary); the barycentric coordinates are
-    u / (3 * resolution).  Support fields are None, and wall flags False,
-    when the sample is not big (such samples stay uncolored); samples with
-    equal supports share one tuple.  ``attained`` holds the supports that
-    occur, Weyl then Zariski."""
+    ``runs`` holds, per row of ``_rows``, its runs (first index, length,
+    classification): a classification is (weyl_support, weyl_boundary,
+    zariski_support, zariski_boundary), and adjacent samples with equal ones
+    share a run.  Support fields are None, and wall flags False, when the
+    sample is not big (such samples stay uncolored); equal classifications
+    are one shared tuple, and equal supports one shared support tuple.
+    ``attained`` holds the supports that occur, Weyl then Zariski."""
 
     resolution: int
-    samples: tuple
+    runs: tuple
     corners: tuple[DivisorClass, DivisorClass, DivisorClass]
     coloring: str
     attained: tuple[frozenset, frozenset]
+
+    @property
+    def samples(self) -> tuple:
+        """Every sample in row order, as (u1, u2, u3, *classification); the
+        barycentric coordinates are u / (3 * resolution)."""
+        return tuple(
+            (3 * i + off, 3 * (level - i) + off, u3, *cls)
+            for (level, off, u3, _), row in zip(_rows(self.resolution), self.runs)
+            for first, length, cls in row
+            for i in range(first, first + length)
+        )
 
     @property
     def kinds(self) -> list[str]:
@@ -90,6 +120,39 @@ def default_corners(m: SurfaceModel) -> tuple[DivisorClass, DivisorClass, Diviso
         a[i] = Fraction(1)
         corners.append(model.config_divisor(1, a))
     return tuple(corners)
+
+
+def _row_runs(count: int, at) -> tuple:
+    """The runs (first index, length, classification) of a row of count
+    samples, where ``at(i)`` classifies sample i as (classification, fill
+    key).  The two ends of an interval are classified; when they have one
+    fill key the interval is filled, and otherwise its midpoint is
+    classified and each half is done alike.  No sample is classified twice."""
+    if not count:
+        return ()
+    starts: list = []  # run starts with their (shared) classifications
+
+    def emit(i, cls):
+        if not starts or starts[-1][1] is not cls:
+            starts.append((i, cls))
+
+    def span(lo, a, hi, b):
+        # samples lo < hi are classified as a and b: emit lo .. hi - 1
+        if hi - lo == 1 or (a[1] is not None and a[1] == b[1]):
+            emit(lo, a[0])
+        else:
+            mid = (lo + hi) // 2
+            k = at(mid)
+            span(lo, a, mid, k)
+            span(mid, k, hi, b)
+
+    first = last = at(0)
+    if count > 1:
+        last = at(count - 1)
+        span(0, first, count - 1, last)
+    emit(count - 1, last[0])
+    ends = [i for i, _ in starts[1:]] + [count]
+    return tuple((i, e - i, cls) for (i, cls), e in zip(starts, ends))
 
 
 def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSection:
@@ -127,14 +190,34 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
             tables[s] = zariski.support_table(gram, s)
         return tables[s]
 
-    # per chamber kind, each big sample's support -> its one shared tuple
+    # Along a row the sample, its pairings q, x = K_s^-1 q_s and the nef
+    # candidate's pairings are affine in the index, so two big samples with
+    # the same signs of q, support s and zero set keep every one of those
+    # signs in between.  There the support s gives a negative part with
+    # positive coefficients and a candidate orthogonal to s that meets no
+    # curve negatively; with a curve Gram that is nonnegative off the
+    # diagonal, that decomposition is unique and grow_support returns it.
+    # P^2 > 0 with P.H > 0 is a convex cone, and so holds in between too,
+    # only when the (symmetric) form has one positive eigenvalue and
+    # H^2 > 0.  Otherwise no sample has a fill key and every sample is
+    # classified.
+    form = linalg.mat(m.pairing_form[0])
+    convex = (
+        linalg.is_symmetric(form) and linalg.signature(form)[0] == 1 and g[3][3] > 0
+        and all(v >= 0 for i, row in enumerate(gram) for j, v in enumerate(row) if i != j)
+    )
+    # per chamber kind, each big sample's support -> its one shared tuple,
+    # and each classification -> its one shared tuple
     attained = ({}, {})
+    shared: dict = {}
+    not_big = ((None, False, None, False), None)
 
     def classify(u1: int, u2: int, u3: int):
+        """The sample's classification and its fill key, None unless big."""
         q = [u1 * a + u2 * b + u3 * d for a, b, d in zip(cd1, cd2, cd3)]
         s, tab, x, zero = zariski.grow_support(q, table)
         if tab is None or (s and min(x) <= 0):
-            return (None, False, None, False)
+            return not_big
         # bigness: P^2 > 0 and P . ample > 0, times det * den^2 with
         # det = tab[1] (N = sum of c x_j / (det * den) C_j)
         det = tab[1]
@@ -148,25 +231,24 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
             t1 -= c * sum(map(mul, x, [q[j] for j in s]))
             t2 -= c * sum(map(mul, x, [hh[j] for j in s]))
         if t1 <= 0 or t2 <= 0:
-            return (None, False, None, False)
+            return not_big
         # the curves met negatively, all inside the Zariski support
         wsup = tuple([j for j in s if q[j] < 0])
-        return (
+        cls = (
             attained[0].setdefault(wsup, wsup), 0 in q,
             attained[1].setdefault(s, s), bool(zero),
         )
+        key = (tuple([(v > 0) - (v < 0) for v in q]), s, zero) if convex else None
+        return shared.setdefault(cls, cls), key
 
-    # per row, the upward triangles (offset 1), then the downward ones
-    # (offset 2), which the last row has none of
-    samples = []
-    for level in range(res):
-        for off in (1, 2):
-            u3 = 3 * (res - level) - 2 * off
-            for i in range(level + 1 if u3 > 0 else 0):
-                u1, u2 = 3 * i + off, 3 * (level - i) + off
-                samples.append((u1, u2, u3, *classify(u1, u2, u3)))
+    runs = []
+    for level, off, u3, count in _rows(res):
+        def at(i):
+            return classify(3 * i + off, 3 * (level - i) + off, u3)
+
+        runs.append(_row_runs(count, at))
     return CrossSection(
-        res, tuple(samples), corners, spec.coloring,
+        res, tuple(runs), corners, spec.coloring,
         tuple(frozenset(a) for a in attained),
     )
 
@@ -230,40 +312,47 @@ def _panel(m: SurfaceModel, cs: CrossSection, kind: str, offset_x: int) -> list[
 
     half_w = Fraction(_SIDE, 2 * res)
     half_h = half_w * _ROOT3_HALF
+    height = format3(2 * half_h)
     # per attained support: its color, integer sums of (2*u2 + u3) and u3,
     # and a count, turned into a pixel centroid only at the end
     attained: dict[tuple[int, ...], list] = {}
 
-    # runs of row-major consecutive samples with equal u3 and color key: the
-    # support, or "boundary" when the wall flag next to it is set; u2 falls
-    # along a row, so a run's first sample is its right end
-    f = 3 if kind == MODE_WEYL else 5
-    for (u3, key), run in groupby(cs.samples, key=lambda s: (s[2], "boundary" if s[f + 1] else s[f])):
-        if key is None:
-            continue
-        run = list(run)
-        if key == "boundary":
-            fill = _BOUNDARY_COLOR
-        else:
-            acc = attained.get(key)
-            if acc is None:
-                acc = attained[key] = [support_color(tuple(names[i] for i in key)), 0, 0, 0]
-            acc[1] += sum(2 * s[1] + u3 for s in run)
-            acc[2] += u3 * len(run)
-            acc[3] += len(run)
-            fill = acc[0]
-        x_hi, y_mid = pix(2 * run[0][1] + u3, u3)
-        x_lo = pix(2 * run[-1][1] + u3, u3)[0]
-        parts.append(
-            '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-            % (
-                format3(x_lo - half_w),
-                format3(y_mid - half_h),
-                format3(x_hi - x_lo + 2 * half_w),
-                format3(2 * half_h),
-                fill,
+    # per row, runs of adjacent classification runs with equal color key:
+    # the support, or "boundary" when the wall flag next to it is set.
+    # Sample i of the row has x2 = 2*u2 + u3 = base - 6i, falling along the
+    # row, so a run's last sample is its left end; the rect spans count
+    # cells of width 2 * half_w
+    f = 0 if kind == MODE_WEYL else 2
+    for (level, off, u3, _), row in zip(_rows(res), cs.runs):
+        base = 6 * level + 2 * off + u3
+        y = format3(bottom - u3 * unit_y - half_h)
+        for key, run in groupby(row, key=lambda r: "boundary" if r[2][f + 1] else r[2][f]):
+            if key is None:
+                continue
+            run = list(run)
+            lo = run[0][0]
+            hi = run[-1][0] + run[-1][1] - 1
+            count = hi - lo + 1
+            if key == "boundary":
+                fill = _BOUNDARY_COLOR
+            else:
+                acc = attained.get(key)
+                if acc is None:
+                    acc = attained[key] = [support_color(tuple(names[i] for i in key)), 0, 0, 0]
+                acc[1] += count * (base - 3 * (lo + hi))
+                acc[2] += u3 * count
+                acc[3] += count
+                fill = acc[0]
+            parts.append(
+                '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
+                % (
+                    format3(pix(base - 6 * hi, u3)[0] - half_w),
+                    y,
+                    format3(Fraction(count * _SIDE, res)),
+                    height,
+                    fill,
+                )
             )
-        )
 
     # corner labels
     anchors = [(pix(0, 0), "start"), (pix(2 * scale3, 0), "end"), (pix(scale3, scale3), "middle")]

@@ -104,7 +104,8 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
             "support %r has a non-negative-definite intersection matrix"
             % (list(support),)
         )
-    coeffs = [Fraction(c * xj, tab[1] * e) for xj in x]
+    det = tab[1]
+    coeffs = [Fraction(c * xj, det * e) for xj in x]
     if any(b <= 0 for b in coeffs):
         raise NotBig("negative part would have a nonpositive coefficient")
 
@@ -113,8 +114,12 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
     neg = model.divisor_from_ample_and_curves(m, 0, [a.get(i, 0) for i in range(n)])
     nef = model.add_divisors(m, d, model.scale_divisor(m, -1, neg))
 
-    p_square = model.pair(m, nef, nef)
-    p_ample = model.pair(m, nef, model.ample_divisor(m))
+    # P . N = 0, so P^2 = D^2 - N.D and P.H = D.H - N.H, with
+    # N.D = sum of (c x_j / (det e)) (q_j / e)
+    h = model.ample_pairings(m)
+    n_d = Fraction(c * sum(map(mul, x, [q[j] for j in support])), det * e * e)
+    p_square = model.pair(m, d, d) - n_d
+    p_ample = model.pair(m, d, model.ample_divisor(m)) - sum(b * h[j] for j, b in neg_coeffs)
     if p_square <= 0 or p_ample <= 0:
         raise NotBig(
             "nef part has square %s and ample pairing %s" % (p_square, p_ample)

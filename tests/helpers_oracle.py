@@ -14,12 +14,16 @@ support.
 The polyhedral oracle of the comparison criteria decides, for every pair
 of negative definite sets, whether a Weyl chamber meets the interior of a
 Zariski chamber, by one Fourier-Motzkin system per pair.
+
+The cross-section oracle classifies every sample of a plot's grid on its
+own, with no filling between classified samples.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from k3chambers import chambers, linalg, model
+from k3chambers import chambers, linalg, model, zariski
 from k3chambers.chambers import ChamberRecord, InclusionVerdict, InteriorInclusionVerdict
 from k3chambers.linalg import SENSE_GT, SENSE_LT, LinearSystemFeasibility, SignConstraint
 from k3chambers.model import SurfaceModel
@@ -163,3 +167,60 @@ def criteria_cells(m: SurfaceModel) -> dict:
         )
         for s in family for t in family
     }
+
+
+def cross_section_per_sample(m: SurfaceModel, corners, res: int):
+    """The samples and attained supports of ``plot.classify_cross_section``,
+    by one ``zariski.grow_support`` per sample: (u1, u2, u3, weyl_support,
+    weyl_boundary, zariski_support, zariski_boundary) per sample in row
+    order, each row its upward triangles and then its downward ones."""
+    n = model.curve_count(m)
+    points = (*corners, model.ample_divisor(m))
+    flat, den = linalg.over_common_denominator(
+        x for a in points
+        for x in (*(model.pair(m, a, b) for b in points), *model.pairings_with_curves(m, a))
+    )
+    w = 4 + n
+    g = [flat[k * w:k * w + 4] for k in range(4)]
+    cd1, cd2, cd3, hh = (flat[k * w + 4:(k + 1) * w] for k in range(4))
+    gram, c = m.integer_curve_gram
+    tables: dict = {}
+
+    def table(s):
+        if s not in tables:
+            tables[s] = zariski.support_table(gram, s)
+        return tables[s]
+
+    attained = ({}, {})
+
+    def classify(u1: int, u2: int, u3: int):
+        q = [u1 * a + u2 * b + u3 * d for a, b, d in zip(cd1, cd2, cd3)]
+        s, tab, x, zero = zariski.grow_support(q, table)
+        if tab is None or (s and min(x) <= 0):
+            return (None, False, None, False)
+        det = tab[1]
+        q2 = (
+            u1 * u1 * g[0][0] + u2 * u2 * g[1][1] + u3 * u3 * g[2][2]
+            + 2 * (u1 * u2 * g[0][1] + u1 * u3 * g[0][2] + u2 * u3 * g[1][2])
+        )
+        qh = u1 * g[0][3] + u2 * g[1][3] + u3 * g[2][3]
+        t1, t2 = det * den * q2, det * den * qh
+        if s:
+            t1 -= c * sum(map(mul, x, [q[j] for j in s]))
+            t2 -= c * sum(map(mul, x, [hh[j] for j in s]))
+        if t1 <= 0 or t2 <= 0:
+            return (None, False, None, False)
+        wsup = tuple([j for j in s if q[j] < 0])
+        return (
+            attained[0].setdefault(wsup, wsup), 0 in q,
+            attained[1].setdefault(s, s), bool(zero),
+        )
+
+    samples = []
+    for level in range(res):
+        for off in (1, 2):
+            u3 = 3 * (res - level) - 2 * off
+            for i in range(level + 1 if u3 > 0 else 0):
+                u1, u2 = 3 * i + off, 3 * (level - i) + off
+                samples.append((u1, u2, u3, *classify(u1, u2, u3)))
+    return tuple(samples), tuple(frozenset(a) for a in attained)

@@ -391,6 +391,13 @@ def test_chambers_refuses_more_than_twelve_curves(capsys, tmp_path, n):
     assert json.loads(out)["error"]["code"] == "size_limit"
 
 
+def test_fourier_motzkin_over_its_budget_is_a_size_limit(capsys, quartic_file, monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_FM_ROWS", 2)
+    code, out, _ = run_cli(capsys, "chambers", quartic_file)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "size_limit"
+
+
 _UNDER_MEMORY_CAP = """
 import sys
 try:

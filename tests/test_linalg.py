@@ -1,5 +1,6 @@
 from fractions import Fraction
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,7 @@ from k3chambers.errors import (
     NotSymmetric,
     PreconditionViolated,
     SingularMatrix,
+    SizeLimit,
 )
 from k3chambers.gallery import random_ade_gram
 from k3chambers.linalg import (
@@ -417,6 +419,31 @@ def test_fm_empty_problem_is_feasible():
 
 def _row(coeffs, constant, sense):
     return SignConstraint(linalg.vec(coeffs), Fraction(constant), sense)
+
+
+def test_fm_stage_over_the_row_budget_is_a_size_limit():
+    """The polyhedral-oracle cell (W_{1}, int Z_{1,2}) of
+    random_configuration(6, 6, 0.4), a model that is not hyperbolic: its
+    fifth stage would combine 8,296,076 row pairs into 713,581 kept rows
+    (about 30 s of work), so it stops at that stage's pair count."""
+    system = LinearSystemFeasibility(6, (
+        _row([-2, 0, 2, 1, 1, 2], 2, ">"),
+        _row([0, -2, 1, 0, 2, 2], 3, "<"),
+        _row([2, 1, -2, 0, 2, 2], 1, ">"),
+        _row([1, 0, 0, -2, 1, 2], 4, ">"),
+        _row([1, 2, 2, 1, -2, 0], 4, ">"),
+        _row([2, 2, 2, 2, 0, -2], 3, ">"),
+        _row(["-2/3", 1, 0, 0, -2, -2], "-7/3", ">"),
+        _row(["-4/3", 0, 1, 0, -2, -2], "-5/3", ">"),
+        _row(["2/3", 0, 0, 1, 5, 6], "16/3", ">"),
+        _row([1, 0, 0, -2, 1, 2], 4, ">"),
+        _row([5, 0, 0, 1, 6, 8], 12, ">"),
+        _row([6, 0, 0, 2, 8, 6], 11, ">"),
+    ), frozenset(range(6)))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="8296076 row pairs"):
+        fm_feasible(system)
+    assert time.perf_counter() - start < 5
 
 
 # pinned verdicts and samples of edge cases; a sample fixes the elimination

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers_oracle import valid_supports_brute_force
+from helpers_oracle import cross_section_per_sample, valid_supports_brute_force
 from k3chambers import chambers, gallery, linalg, model, plot, zariski
 from k3chambers.errors import DegenerateCorners, NotBig
-from k3chambers.model import full_divisor
+from k3chambers.model import Mode, full_divisor
 from k3chambers.plot import (
     CrossSectionSpec,
     classify_cross_section,
@@ -267,3 +268,85 @@ def test_boundary_samples_are_neutral(quartic):
 def test_default_corners_never_hit_walls(quartic):
     cs = classify_cross_section(quartic.model, CrossSectionSpec(resolution=24))
     assert not any(s[4] or s[6] for s in cs.samples)
+
+
+def _inertia(m):
+    return linalg.signature(linalg.mat(m.pairing_form[0]))
+
+
+@st.composite
+def _plot_cases(draw):
+    """A gallery model or a small hyperbolic random configuration, three
+    linearly independent integer corners and a resolution."""
+    m = draw(st.one_of(
+        st.sampled_from(["quartic", "double-cover"]).map(lambda k: gallery.gallery_entry(k).model),
+        st.builds(
+            gallery.random_configuration,
+            st.integers(0, 300), st.integers(3, 7), st.sampled_from([0.2, 0.3, 0.5]),
+        ).filter(lambda m: _inertia(m)[0] == 1),
+    ))
+    if m.mode is Mode.FULL_LATTICE:
+        dim = len(m.gram)
+        corners = tuple(
+            full_divisor(draw(st.lists(st.integers(-3, 6), min_size=dim, max_size=dim)))
+            for _ in range(3)
+        )
+    else:
+        n = model.curve_count(m)
+        corners = tuple(
+            model.config_divisor(
+                draw(st.integers(-2, 3)), draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+            )
+            for _ in range(3)
+        )
+    assume(linalg.rank([model.vector(m, c) for c in corners]) == 3)
+    return m, corners, draw(st.integers(2, 60))
+
+
+@settings(max_examples=60)
+@given(_plot_cases())
+# the first sample of the bottom row lies on the wall P.L2 = 0 of the
+# chamber {L1}, which the rest of the row is inside: a row end that has
+# the other end's support and pairing signs but not its null curves
+@example((gallery.quartic_example().model,
+          (full_divisor([4, 1, 1]), full_divisor([3, 2, 1]), full_divisor([3, 3, 1])), 12))
+def test_filled_rows_equal_the_per_sample_oracle(case):
+    """Filling the runs between classified run ends gives every sample the
+    classification that classifying it on its own gives."""
+    m, corners, res = case
+    cs = classify_cross_section(m, CrossSectionSpec(corners=corners, resolution=res))
+    samples, attained = cross_section_per_sample(m, corners, res)
+    assert cs.attained == attained
+    for got, want in zip(cs.samples, samples, strict=True):
+        assert got == want
+
+
+def test_only_a_hyperbolic_form_fills(monkeypatch, quartic):
+    """Not hyperbolic: every sample is classified, and the samples are the
+    oracle's (on these corners one sample that is not big lies between two
+    big samples of one chamber and row).  The quartic at the benchmark's
+    grid size classifies fewer than a fifth of its samples."""
+    calls = []
+    real = zariski.grow_support
+
+    def counted(q, table):
+        calls.append(None)
+        return real(q, table)
+
+    monkeypatch.setattr(zariski, "grow_support", counted)
+    m = gallery.random_configuration(3, 7, 0.2)
+    assert _inertia(m) == (2, 6, 0)
+    corners = (
+        model.config_divisor(-1, [3, 1, -1, -1, 3, 2, 1]),
+        model.config_divisor(2, [0, -1, 1, -1, -1, -1, -1]),
+        model.config_divisor(-1, [1, 2, 3, 3, 3, 3, 0]),
+    )
+    cs = classify_cross_section(m, CrossSectionSpec(corners=corners, resolution=60))
+    assert len(calls) == 60 ** 2
+    monkeypatch.setattr(zariski, "grow_support", real)
+    assert (cs.samples, cs.attained) == cross_section_per_sample(m, corners, 60)
+
+    monkeypatch.setattr(zariski, "grow_support", counted)
+    calls.clear()
+    classify_cross_section(quartic.model, CrossSectionSpec(resolution=200))
+    assert len(calls) < 0.2 * 200 ** 2
