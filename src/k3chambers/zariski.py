@@ -116,10 +116,12 @@ def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
 
     # P . N = 0, so P^2 = D^2 - N.D and P.H = D.H - N.H, with
     # N.D = sum of (c x_j / (det e)) (q_j / e)
-    h = model.ample_pairings(m)
-    n_d = Fraction(c * sum(map(mul, x, [q[j] for j in support])), det * e * e)
-    p_square = model.pair(m, d, d) - n_d
-    p_ample = model.pair(m, d, model.ample_divisor(m)) - sum(b * h[j] for j, b in neg_coeffs)
+    p_square = model.pair(m, d, d)
+    p_ample = model.pair(m, d, model.ample_divisor(m))
+    if support:
+        h = model.ample_pairings(m)
+        p_square -= Fraction(c * sum(map(mul, x, [q[j] for j in support])), det * e * e)
+        p_ample -= sum(b * h[j] for j, b in neg_coeffs)
     if p_square <= 0 or p_ample <= 0:
         raise NotBig(
             "nef part has square %s and ample pairing %s" % (p_square, p_ample)
