@@ -591,9 +591,12 @@ def test_configuration_model_via_cli(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["N"] == {"L1": "1", "L2": "3"}
+    # t = 0: the sum of all curves is nef with square 4, its own nef part
     code, out, _ = run_cli(capsys, "decompose", str(path), '{"t": 0, "a": [1, 1, 1]}')
-    assert code == 3
-    assert json.loads(out)["error"]["code"] == "mode_unsupported"
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["P"] == doc["divisor"] == {"t": "0", "a": ["1", "1", "1"]}
+    assert doc["N"] == {} and doc["volume"] == "4"
 
 
 def test_entry_point_subprocess(quartic_file):

@@ -136,31 +136,46 @@ def test_quartic_panels_differ_and_double_cover_agrees(quartic, double_cover):
             assert s[3] == s[5]
 
 
+def _shifted_corners(m):
+    """H + C_0, H + C_1 and C_2 - H: part of the triangle leaves the big cone."""
+    h = model.ample_divisor(m)
+    c = [model.curve_divisor(m, i) for i in range(3)]
+    return (
+        model.add_divisors(m, h, c[0]),
+        model.add_divisors(m, h, c[1]),
+        model.add_divisors(m, c[2], model.scale_divisor(m, -1, h)),
+    )
+
+
 def test_classification_agrees_with_decompose_on_sampled_points(quartic, double_cover):
     """Each sample's fields must match zariski_decompose, is_big and the
-    pairing signs on a subsample of grid points."""
-    for entry in (quartic, double_cover):
-        m = entry.model
-        cs = classify_cross_section(m, CrossSectionSpec(resolution=24))
+    pairing signs on a subsample of grid points: on the gallery models with
+    their default corners, and on the quartic's configuration form with
+    shifted corners, where the samples take t <= 0 as well as t > 0."""
+    cfg = model.to_configuration(quartic.model)
+    cases = [(quartic.model, None), (double_cover.model, None), (cfg, _shifted_corners(cfg))]
+    for m, corners in cases:
+        cs = classify_cross_section(m, CrossSectionSpec(corners=corners, resolution=24))
         rng = random.Random("scan-vs-engine")
         samples = rng.sample(cs.samples, 60)
+        ts = set()
         for u1, u2, u3, wsup, wbound, zsup, zbound in samples:
-            coords = [
-                u1 * a + u2 * b + u3 * c
-                for a, b, c in zip(
-                    m.curves[0].coords, m.curves[1].coords, m.curves[2].coords
-                )
-            ]
-            d = full_divisor(coords)
+            d = model.scale_divisor(m, u1, cs.corners[0])
+            for u, corner in zip((u2, u3), cs.corners[1:]):
+                d = model.add_divisors(m, d, model.scale_divisor(m, u, corner))
             check = zariski.is_big(m, d)
             if zsup is None:
                 assert not check.big
                 continue
             assert check.big
+            if m.mode is Mode.CONFIGURATION:
+                ts.add(d.ample_coeff > 0)
             sig = chambers.zariski_chamber_of(m, d)
             assert sig.support == zsup and sig.boundary == zbound
             wsig = chambers.weyl_signature(m, d)
             assert wsig.support == wsup and wsig.boundary == wbound
+        if corners is not None:
+            assert ts == {False, True}
 
 
 def _oracle_cases():
@@ -173,14 +188,7 @@ def _oracle_cases():
         models.append(gallery.random_configuration(seed, n, density))
     cases = []
     for m in models:
-        h = model.ample_divisor(m)
-        c = [model.curve_divisor(m, i) for i in range(3)]
-        corners = (
-            model.add_divisors(m, h, c[0]),
-            model.add_divisors(m, h, c[1]),
-            model.add_divisors(m, c[2], model.scale_divisor(m, -1, h)),
-        )
-        cases.append((m, corners))
+        cases.append((m, _shifted_corners(m)))
     return cases + [(gallery.quartic_example().model, None),
                     (gallery.double_cover_example().model, None)]
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from helpers_oracle import sample_big_divisor, valid_supports_brute_force
 from k3chambers import gallery, model, zariski
-from k3chambers.errors import ModeUnsupported, NotBig
+from k3chambers.errors import NotBig
 from k3chambers.model import config_divisor, full_divisor, to_configuration
 from k3chambers.zariski import is_big, volume, zariski_decompose
 
@@ -100,22 +100,93 @@ def test_is_big_certificates(quartic):
     assert model.pair(m, p, p) == 24
 
 
-def test_configuration_mode_rejects_nonpositive_ample_coefficient(quartic):
+def test_configuration_mode_decomposes_nonpositive_ample_coefficient(quartic):
     cfg = to_configuration(quartic.model)
-    with pytest.raises(ModeUnsupported):
-        zariski_decompose(cfg, config_divisor(0, [1, 1, 1]))
-    with pytest.raises(ModeUnsupported):
+    # the sum of all curves meets each curve positively and has square 4
+    d = config_divisor(0, [1, 1, 1])
+    r = zariski_decompose(cfg, d)
+    assert r.nef_part == d and r.neg_coeffs == () and r.null_set == ()
+    assert r.volume == 4
+    # H = 2 (L1 + L2 + C), so -H + L1 + L2 + C = -(L1 + L2 + C)
+    with pytest.raises(NotBig):
         zariski_decompose(cfg, config_divisor(-1, [1, 1, 1]))
 
 
-def test_is_big_positive_cone_fallback_in_configuration_mode(quartic):
+def test_is_big_certifies_nonpositive_ample_coefficient_in_configuration_mode(quartic):
     cfg = to_configuration(quartic.model)
-    # sum of all curves: square 4 > 0, ample pairing 8 > 0, but t = 0
-    check = is_big(cfg, config_divisor(0, [1, 1, 1]))
-    assert check.big and check.decomposition is None
-    assert "positive-cone" in check.reason
+    # 4 L1 + L2 + C has square -8 and lies outside the positive cone, yet
+    # it is big: N = 5/2 L1 and P^2 = 9/2
+    check = is_big(cfg, config_divisor(0, [4, 1, 1]))
+    assert check.big and check.reason is None
+    assert check.decomposition.neg_coeffs == ((0, Fraction(5, 2)),)
+    assert check.decomposition.volume == Fraction(9, 2)
     check = is_big(cfg, config_divisor(-1, [0, 0, 0]))
-    assert not check.big
+    assert not check.big and check.decomposition is None
+    assert check.reason == "support [0, 1, 2] has a non-negative-definite intersection matrix"
+
+
+def test_four_l1_plus_l2_plus_c_has_volume_nine_halves_in_both_modes(quartic):
+    """D = 4 L1 + L2 + C (t = 0 in configuration mode, D^2 = -8) is big in
+    either representation of the quartic, with the same decomposition."""
+    m = quartic.model
+    for r in (
+        zariski_decompose(m, full_divisor([4, 1, 1])),
+        zariski_decompose(to_configuration(m), config_divisor(0, [4, 1, 1])),
+    ):
+        assert r.neg_coeffs == ((0, Fraction(5, 2)),)
+        assert r.neg_set == r.null_set == (0,)
+        assert r.volume == Fraction(9, 2)
+
+
+def _outcome(m, d):
+    """The decomposition's mode-free fields, or the NotBig message."""
+    try:
+        r = zariski_decompose(m, d)
+    except NotBig as exc:
+        return str(exc)
+    return r.neg_coeffs, r.neg_set, r.null_set, r.volume
+
+
+@pytest.mark.parametrize("entry", ["quartic", "double-cover"])
+def test_configuration_form_decomposes_like_the_full_lattice(entry):
+    """The gallery lattices have the curves as their basis, so full_divisor(v)
+    and t H + sum(v_i C_i) with t = 0 are one class.  Both forms of the
+    model must give the same decomposition or the same NotBig message, and
+    the same is_big verdict; so must t H + sum(v_i C_i) for other t."""
+    m = gallery.gallery_entry(entry).model
+    cfg = to_configuration(m)
+    rng = random.Random("cross-mode:" + entry)
+    big = 0
+    for k in range(600):
+        v = [rng.randint(-3, 9) for _ in range(3)]
+        t = 0 if k % 2 else rng.randint(-2, 2)
+        d_full = model.divisor_from_ample_and_curves(m, t, v)
+        if t == 0:
+            assert d_full == full_divisor(v)
+        d_cfg = config_divisor(t, v)
+        got = _outcome(cfg, d_cfg)
+        assert got == _outcome(m, d_full), (t, v)
+        assert is_big(cfg, d_cfg).big == is_big(m, d_full).big == (type(got) is tuple)
+        big += type(got) is tuple
+    assert 100 < big < 500
+
+
+@pytest.mark.parametrize("entry", ["quartic", "double-cover"])
+def test_uniqueness_against_brute_force_with_nonpositive_ample_coefficient(entry):
+    """Big configuration divisors with t <= 0 have exactly one valid
+    support too, the one the engine returns."""
+    cfg = to_configuration(gallery.gallery_entry(entry).model)
+    rng = random.Random("uniqueness-t-nonpositive")
+    big = 0
+    for _ in range(200):
+        d = config_divisor(rng.randint(-2, 0), [rng.randint(-3, 9) for _ in range(3)])
+        try:
+            r = zariski_decompose(cfg, d)
+        except NotBig:
+            continue
+        big += 1
+        assert valid_supports_brute_force(cfg, d) == [r.neg_set]
+    assert big > 20
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(3, 5)])
