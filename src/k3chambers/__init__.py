@@ -38,7 +38,6 @@ from .linalg import (
     LinearSystemFeasibility,
     SignConstraint,
     fm_feasible,
-    inverse_nonpositive_check,
     is_negative_definite,
     signature,
     solve_linear,

@@ -130,7 +130,7 @@ def weyl_signature(
     if check is None:
         check = zariski.is_big(m, d)
     if not check.big:
-        raise NotBig(check.reason or "divisor is not big")
+        raise NotBig(check.reason)
     dots = model.pairings_with_curves(m, d)
     return ChamberSignature(
         support=tuple(i for i, x in enumerate(dots) if x < 0),

@@ -27,11 +27,6 @@ class SingularMatrix(K3ChambersError):
     code = "singular_matrix"
 
 
-class PreconditionViolated(K3ChambersError):
-    code = "precondition_violated"
-    exit_code = 2
-
-
 class ModeMismatch(K3ChambersError):
     code = "mode_mismatch"
     exit_code = 2
@@ -49,11 +44,6 @@ class InvalidModel(K3ChambersError):
 
 class NotBig(K3ChambersError):
     code = "not_big"
-    exit_code = 3
-
-
-class ModeUnsupported(K3ChambersError):
-    code = "mode_unsupported"
     exit_code = 3
 
 

@@ -3,7 +3,7 @@
 No floating point is used anywhere: the API speaks ``fractions.Fraction``
 and the kernels work in integers.  Matrices are dense tuples of tuples,
 vectors are tuples.  One fraction-free (Bareiss) elimination, ``_eliminate``,
-gives the solve, determinant, adjugate, inverse and rank.  Its one reader for
+gives the solve, determinant, inverse and rank.  Its one reader for
 negative definite matrices, ``solve_negative_definite``, decides definiteness
 by Sylvester's test on the pivots of ``[s | b_1 ... b_k]`` and reads the k
 solutions off the same elimination; ``is_negative_definite`` is its k = 0
@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NotSymmetric, PreconditionViolated, SingularMatrix, SizeLimit, require
+from .errors import NotSymmetric, SingularMatrix, SizeLimit, require
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -183,21 +183,6 @@ def is_negative_definite(s: Mat) -> bool:
     return solve_negative_definite(s) is not None
 
 
-def adjugate(s: Mat) -> tuple[Fraction, Mat]:
-    """``(det(s), adj(s))`` from one elimination of ``[s | I]``, which ends
-    at ``(-1)^swaps q^n (det(s) I | adj(s))``.  Raises SingularMatrix when
-    det(s) = 0."""
-    n = _require_square(s)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    a, pivots, swaps, q = _eliminate([(*r, *e) for r, e in zip(s, eye)], n)
-    if len(pivots) < n:
-        raise SingularMatrix("matrix is singular")
-    scale = Fraction((-1) ** swaps, q**n)
-    return (pivots[-1] if n else 1) * scale, tuple(
-        tuple(x * scale for x in row[n:]) for row in a
-    )
-
-
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rational matrix of any shape."""
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
@@ -245,33 +230,15 @@ def signature(s: Mat) -> tuple[int, int, int]:
 
 
 def inverse(s: Mat) -> Mat:
-    """Exact inverse: the adjugate over the determinant.  Raises
-    SingularMatrix when det(s) = 0."""
-    det, adj = adjugate(s)
-    return tuple(tuple(x / det for x in row) for row in adj)
-
-
-def inverse_nonpositive_check(s: Mat) -> bool:
-    """Return whether every entry of s^{-1} is <= 0.
-
-    Precondition (reported, not assumed): s is symmetric negative definite
-    with nonnegative off-diagonal entries.  Under that hypothesis the result
-    is always True; a False return on valid input is a library bug trap.
-    """
-    if not is_symmetric(s):
-        raise PreconditionViolated("matrix is not symmetric")
-    n = len(s)
-    for i in range(n):
-        for j in range(n):
-            if i != j and s[i][j] < 0:
-                raise PreconditionViolated(
-                    "negative off-diagonal entry at (%d, %d)" % (i, j)
-                )
-    # the columns of s^{-1}, solved against the identity
-    inv = solve_negative_definite(s, [[int(i == j) for j in range(n)] for i in range(n)])
-    if inv is None:
-        raise PreconditionViolated("matrix is not negative definite")
-    return all(x <= 0 for col in inv for x in col)
+    """Exact inverse from one elimination of ``[s | I]``, which ends at
+    ``(p I | p s^-1)`` for the last pivot p.  Raises SingularMatrix when
+    det(s) = 0."""
+    n = _require_square(s)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, pivots, _, _ = _eliminate([(*r, *e) for r, e in zip(s, eye)], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(a))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ color per support set.  No float is used anywhere: pixel coordinates are
 exact rationals, written with 3 decimals by exact integer round-half-even,
 so output bytes are deterministic for fixed inputs.
 
-Classification runs the decomposition's own engine, ``zariski.grow_support``,
-on a sample's integer pairings with the curves.  The tables of the curve
-sets it visits are kept for the whole plot and built on first use, so only
-supports that some sample's growth reaches are ever eliminated.  Each grid
-row is classified by its run ends: two big samples with the same support,
-signs of the curve pairings and null curves enclose only samples of that
-classification, which are filled without being classified, and an
-interval whose ends differ is split at its midpoint.  That holds because
+Classification runs the decomposition's own bigness test,
+``zariski.decide_bigness``, on a sample's integer pairings with the curves,
+itself and H.  The tables of the curve sets its growth visits are kept for
+the whole plot and built on first use, so only supports that some sample's
+growth reaches are ever eliminated.  Each grid row is classified by its run
+ends: two big samples with the same support, signs of the curve pairings
+and null curves enclose only samples of that classification, which are
+filled without being classified, and an interval whose ends differ is
+split at its midpoint.  That holds because
 chambers are convex and, on a hyperbolic form, so is the positive cone; on
 a form that is not hyperbolic every sample is classified.  The classified
 grid is held as runs of samples that share one classification.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from itertools import groupby
-from operator import mul
 
 from . import linalg, model, zariski
 from .errors import DegenerateCorners, SizeLimit
@@ -108,7 +108,8 @@ class CrossSection:
 
 def default_corners(m: SurfaceModel) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
     """First three curve classes; in configuration mode the curves are
-    shifted by the ample class (t = 1) so that samples stay decomposable."""
+    shifted by the ample class (t = 1), so that every sample is H plus an
+    effective class and so big."""
     if model.curve_count(m) < 3:
         raise DegenerateCorners("model has fewer than three curves; pass corners explicitly")
     if m.mode is Mode.FULL_LATTICE:
@@ -215,22 +216,15 @@ def classify_cross_section(m: SurfaceModel, spec: CrossSectionSpec) -> CrossSect
     def classify(u1: int, u2: int, u3: int):
         """The sample's classification and its fill key, None unless big."""
         q = [u1 * a + u2 * b + u3 * d for a, b, d in zip(cd1, cd2, cd3)]
-        s, tab, x, zero = zariski.grow_support(q, table)
-        if tab is None or (s and min(x) <= 0):
-            return not_big
-        # bigness: P^2 > 0 and P . ample > 0, times det * den^2 with
-        # det = tab[1] (N = sum of c x_j / (det * den) C_j)
-        det = tab[1]
-        q2 = (
+        # the sample D has D . C_i = q_i / den, H . C_i = hh_i / den,
+        # D^2 = d2 / den^2 and D . H = dh / den^2
+        d2 = den * (
             u1 * u1 * g[0][0] + u2 * u2 * g[1][1] + u3 * u3 * g[2][2]
             + 2 * (u1 * u2 * g[0][1] + u1 * u3 * g[0][2] + u2 * u3 * g[1][2])
         )
-        qh = u1 * g[0][3] + u2 * g[1][3] + u3 * g[2][3]
-        t1, t2 = det * den * q2, det * den * qh
-        if s:
-            t1 -= c * sum(map(mul, x, [q[j] for j in s]))
-            t2 -= c * sum(map(mul, x, [hh[j] for j in s]))
-        if t1 <= 0 or t2 <= 0:
+        dh = den * (u1 * g[0][3] + u2 * g[1][3] + u3 * g[2][3])
+        (s, _, _, zero), _, _, failed = zariski.decide_bigness(q, d2, hh, dh, c, table)
+        if failed:
             return not_big
         # the curves met negatively, all inside the Zariski support
         wsup = tuple([j for j in s if q[j] < 0])

@@ -9,6 +9,11 @@ stays negative definite throughout; growth to a set that is not proves the
 input is not big.  The engine reads each curve set through a table lookup:
 ``zariski_decompose`` builds the tables of its own steps, and ``plot`` keeps
 one table per curve set for a whole cross-section.
+
+``decide_bigness`` is the one bigness test: the growth, then the signs of
+the negative part's coefficients and of P^2 and P.H, all in integers.
+``zariski_decompose`` and ``plot`` both call it, for every divisor in either
+mode.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, model
-from .errors import ModeUnsupported, NotBig, require
-from .model import DivisorClass, Mode, SurfaceModel
+from .errors import NotBig, require
+from .model import DivisorClass, SurfaceModel
 
 
 @dataclass(frozen=True)
@@ -87,46 +92,75 @@ def grow_support(q, table):
         s = tuple(sorted((*s, vals.index(low))))
 
 
+def decide_bigness(q, d2, hq, dh, c, table):
+    """Bauer's growth and the bigness test on integers over positive
+    denominators e and f: ``D . C_i = q_i / e``, ``H . C_i = hq_i / f``,
+    ``D^2 = d2 / e^2`` and ``D . H = dh / (e f)``; ``c`` is the denominator
+    of the curve Gram and ``table`` as in ``grow_support``.  Returns
+    ``(step, p2, ph, failed)``: ``step`` is ``grow_support``'s result, ``p2``
+    and ``ph`` are ``det e^2 P^2`` and ``det e f P.H`` for the support's
+    ``det = tab[1]`` (None until the first two tests pass), and ``failed``
+    names the test the divisor fails: "definite" (the support is not
+    negative definite), "coefficients" (a coefficient of N is not positive)
+    or "nef part" (P^2 or P.H is not positive), or is None when D is big.
+
+    The growth reads the pairings only, never how D is written: in
+    configuration mode a divisor with t <= 0 is decided like any other, and
+    "P nef on the listed curves, P^2 > 0, P.H > 0 and N > 0" certifies that
+    D = P + N is big under the model's assumptions whatever the sign of t."""
+    step = s, tab, x, _ = grow_support(q, table)
+    if tab is None:
+        return step, None, None, "definite"
+    if s and min(x) <= 0:
+        return step, None, None, "coefficients"
+    # P . N = 0, so P^2 = D^2 - N.D and P.H = D.H - N.H with N = sum of
+    # c x_j / (det e) C_j
+    det = tab[1]
+    p2, ph = det * d2, det * dh
+    if s:
+        p2 -= c * sum(map(mul, x, [q[j] for j in s]))
+        ph -= c * sum(map(mul, x, [hq[j] for j in s]))
+    return step, p2, ph, None if p2 > 0 and ph > 0 else "nef part"
+
+
 def zariski_decompose(m: SurfaceModel, d: DivisorClass) -> ZariskiResult:
     """Decompose a big divisor class; raises NotBig if no valid
     decomposition with positive volume exists."""
-    if m.mode is Mode.CONFIGURATION and d.ample_coeff is not None and d.ample_coeff <= 0:
-        raise ModeUnsupported(
-            "configuration-mode decomposition needs an ample coefficient > 0"
-        )
     n = model.curve_count(m)
-    q, e = model.pairing_numerators(m, d)
-    k, c = m.integer_curve_gram
+    h = model.ample_divisor(m)
+    (q, e), (hq, f) = model.pairing_numerators(m, d), model.pairing_numerators(m, h)
+    # one product bv of D's vector v with the form B / qf gives
+    # D^2 = v.bv / (qf den^2) = d2 / e^2 and D.H = hv.bv / (qf den hden) =
+    # dh / (e f), since e = den r and f = hden r for a multiple r of qf
+    form, qf = m.pairing_form
+    (v, den), (hv, _) = (linalg.over_common_denominator(model.vector(m, x)) for x in (d, h))
+    bv = [sum(map(mul, row, v)) for row in form]
+    k = (e // den) ** 2 // qf
+    d2, dh = k * sum(map(mul, v, bv)), k * sum(map(mul, hv, bv))
+    gram, c = m.integer_curve_gram
     # one elimination per growth step decides definiteness and solves
-    support, tab, x, zero = grow_support(q, lambda s: support_table(k, s))
-    if tab is None:
+    (support, tab, x, zero), p2, ph, failed = decide_bigness(
+        q, d2, hq, dh, c, lambda s: support_table(gram, s)
+    )
+    if failed == "definite":
         raise NotBig(
             "support %r has a non-negative-definite intersection matrix"
             % (list(support),)
         )
-    det = tab[1]
-    coeffs = [Fraction(c * xj, det * e) for xj in x]
-    if any(b <= 0 for b in coeffs):
+    if failed == "coefficients":
         raise NotBig("negative part would have a nonpositive coefficient")
+    det = tab[1]
+    p_square = Fraction(p2, det * e * e)
+    if failed:
+        raise NotBig(
+            "nef part has square %s and ample pairing %s"
+            % (p_square, Fraction(ph, det * e * f))
+        )
 
-    neg_coeffs = tuple(zip(support, coeffs))
+    neg_coeffs = tuple((j, Fraction(c * xj, det * e)) for j, xj in zip(support, x))
     a = dict(neg_coeffs)
     neg = model.divisor_from_ample_and_curves(m, 0, [a.get(i, 0) for i in range(n)])
     nef = model.add_divisors(m, d, model.scale_divisor(m, -1, neg))
-
-    # P . N = 0, so P^2 = D^2 - N.D and P.H = D.H - N.H, with
-    # N.D = sum of (c x_j / (det e)) (q_j / e)
-    p_square = model.pair(m, d, d)
-    p_ample = model.pair(m, d, model.ample_divisor(m))
-    if support:
-        h = model.ample_pairings(m)
-        p_square -= Fraction(c * sum(map(mul, x, [q[j] for j in support])), det * e * e)
-        p_ample -= sum(b * h[j] for j, b in neg_coeffs)
-    if p_square <= 0 or p_ample <= 0:
-        raise NotBig(
-            "nef part has square %s and ample pairing %s" % (p_square, p_ample)
-        )
-
     null = tuple(sorted((*support, *zero)))
     p_dots = model.pairing_numerators(m, nef)[0]
     require(
@@ -145,28 +179,9 @@ def volume(m: SurfaceModel, d: DivisorClass) -> Fraction:
 
 
 def is_big(m: SurfaceModel, d: DivisorClass) -> BignessCheck:
-    """Decide bigness.
-
-    Returns a certificate (the Zariski decomposition, whose nef part has
-    positive square) when one is computable.  Divisors in the positive cone
-    (D^2 > 0 and D.ample > 0) are always big; in configuration mode with
-    ample coefficient <= 0 that membership test is the only decision
-    procedure available, so no decomposition certificate is attached.
-    """
+    """Decide bigness: the Zariski decomposition, whose nef part has positive
+    square, as the certificate, or the reason that NotBig gives."""
     try:
-        result = zariski_decompose(m, d)
-        return BignessCheck(True, result, None)
+        return BignessCheck(True, zariski_decompose(m, d), None)
     except NotBig as exc:
         return BignessCheck(False, None, str(exc))
-    except ModeUnsupported:
-        if (
-            model.pair(m, d, d) > 0
-            and model.pair(m, d, model.ample_divisor(m)) > 0
-        ):
-            return BignessCheck(True, None, "positive-cone membership")
-        return BignessCheck(
-            False,
-            None,
-            "not in the positive cone; configuration mode cannot decompose "
-            "divisors with ample coefficient <= 0",
-        )

@@ -15,6 +15,10 @@ The polyhedral oracle of the comparison criteria decides, for every pair
 of negative definite sets, whether a Weyl chamber meets the interior of a
 Zariski chamber, by one Fourier-Motzkin system per pair.
 
+None of these oracles calls the engine's enumeration or its sign systems:
+the negative definite family comes from ``nd_family_brute_force``, the sign
+rows are built here, and inverses come from sympy.
+
 The cross-section oracle classifies every sample of a plot's grid on its
 own, with no filling between classified samples.
 """
@@ -34,12 +38,31 @@ def _subsets(n: int):
         yield from combinations(range(n), size)
 
 
+def sympy_matrix(rows):
+    """The rational matrix as a sympy Matrix."""
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def inverse_is_nonpositive(g) -> bool:
+    """Whether every entry of g^-1, by sympy's own inverse, is <= 0.  The
+    lemma says so for a symmetric negative definite g whose entries off
+    the diagonal are >= 0."""
+    return all(x <= 0 for x in sympy_matrix(g).inv())
+
+
 def weyl_records_exhaustive(m: SurfaceModel) -> tuple[ChamberRecord, ...]:
     """The Weyl atlas records by the exhaustive 2^n loop: one sign system on
-    all the curves per pattern, witnessed by that system's sample."""
+    all the curves per pattern (D . C_j < 0 on the pattern, > 0 off it, for
+    D = H + sum(a_i C_i) with a >= 0), witnessed by that system's sample."""
+    n = model.curve_count(m)
+    g = model.curve_gram(m)
+    h = model.ample_pairings(m)
     records = []
-    for s in _subsets(model.curve_count(m)):
-        res = linalg.fm_feasible(chambers.weyl_sign_system(m, s))
+    for s in _subsets(n):
+        rows = tuple(SignConstraint(g[j], h[j], SENSE_LT if j in s else SENSE_GT) for j in range(n))
+        res = linalg.fm_feasible(LinearSystemFeasibility(n, rows, frozenset(range(n))))
         if res.feasible:
             records.append(ChamberRecord(s, model.divisor_from_ample_and_curves(m, 1, res.sample)))
     return tuple(records)
@@ -106,7 +129,7 @@ def valid_supports_brute_force(m: SurfaceModel, d) -> list[tuple[int, ...]]:
     g = model.curve_gram(m)
     dots = model.pairings_with_curves(m, d)
     valid = []
-    for t_set in chambers.negative_definite_subsets(m):
+    for t_set in nd_family_brute_force(m):
         sub = model.restrict_gram(m, t_set)
         try:
             coeffs = linalg.solve_linear(sub, [dots[j] for j in t_set])
@@ -135,8 +158,8 @@ def criteria_cells(m: SurfaceModel) -> dict:
     each pair (S, T) of negative definite sets, the ``fm_feasible`` result of
     W_S meeting int Z_T.  W_S is D.C_j < 0 on S and > 0 off S.  int Z_T is
     x > 0 for the negative part's coefficients x = G_T^-1 (D.C_T), and
-    P.C_k > 0 off T for the nef part P = D - sum(x_j C_j); G_T^-1 is the
-    adjugate over the determinant, not read from the atlas."""
+    P.C_k > 0 off T for the nef part P = D - sum(x_j C_j); G_T^-1 is
+    sympy's inverse, not read from the atlas."""
     n = model.curve_count(m)
     g = model.curve_gram(m)
     h = model.ample_pairings(m)
@@ -147,12 +170,13 @@ def criteria_cells(m: SurfaceModel) -> dict:
     }
     interior = {}
     for t in family:
-        det, adj = linalg.adjugate(model.restrict_gram(m, t))
+        inv = sympy_matrix(model.restrict_gram(m, t)).inv()
+        inv = [[Fraction(int(b.p), int(b.q)) for b in inv.row(i)] for i in range(len(t))]
         # x_i = sum over l of G_T^-1[i][l] (h + g a)_{t_l}, as (coefficients of a, constant)
         x = [
-            ([sum(b * g[j][v] for b, j in zip(row, t)) / det for v in range(n)],
-             sum(b * h[j] for b, j in zip(row, t)) / det)
-            for row in adj
+            ([sum(b * g[j][v] for b, j in zip(row, t)) for v in range(n)],
+             sum(b * h[j] for b, j in zip(row, t)))
+            for row in inv
         ]
         rows = [SignConstraint(tuple(c), k, SENSE_GT) for c, k in x]
         for k in range(n):

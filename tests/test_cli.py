@@ -833,9 +833,12 @@ def test_help_still_exits_0(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_decompose_pairs_twice_and_reports_the_result_volume(capsys, quartic_file, monkeypatch):
-    """After the model is loaded, a decompose query pairs twice (P^2 and
-    P.H, both inside zariski_decompose) and prints the result's volume."""
+def test_decompose_makes_no_pair_call_and_reports_the_result_volume(
+    capsys, quartic_file, monkeypatch
+):
+    """After the model is loaded, a decompose query calls model.pair not at
+    all (D^2 and D.H come from one integer product inside
+    zariski_decompose) and prints the result's volume."""
     pairs = []
     results = []
     real_pair, real_load, real_decompose = model.pair, cli._load_model, zariski.zariski_decompose
@@ -855,13 +858,13 @@ def test_decompose_pairs_twice_and_reports_the_result_volume(capsys, quartic_fil
 
     monkeypatch.setattr(cli, "_load_model", load)
     monkeypatch.setattr(zariski, "zariski_decompose", decompose)
-    # P^2 = 18 and P.H = 24 here, so the two pairings cannot stand in for each other
-    code, out, _ = run_cli(capsys, "decompose", quartic_file, "[3,1,4]")
+    # N = L1 + 3 L2 here, so P^2 = 24 differs from D^2
+    code, out, _ = run_cli(capsys, "decompose", quartic_file, "[5,7,2]")
     assert code == 0
     (m, result), = results
+    assert pairs == []
     nef = result.nef_part
-    assert pairs == [(nef, nef), (nef, model.ample_divisor(m))]
-    assert result.volume == real_pair(m, nef, nef)
+    assert result.volume == real_pair(m, nef, nef) == 24
     assert json.loads(out)["volume"] == str(result.volume)
 
 

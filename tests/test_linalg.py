@@ -6,11 +6,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers_oracle import inverse_is_nonpositive, sympy_matrix
 from k3chambers import linalg
 from k3chambers.errors import (
     InvariantViolated,
     NotSymmetric,
-    PreconditionViolated,
     SingularMatrix,
     SizeLimit,
 )
@@ -19,7 +19,6 @@ from k3chambers.linalg import (
     LinearSystemFeasibility,
     SignConstraint,
     fm_feasible,
-    inverse_nonpositive_check,
     is_negative_definite,
     signature,
     solve_linear,
@@ -137,31 +136,26 @@ def test_signature_counts_sum_to_dim(s):
 
 
 # ---------------------------------------------------------------------------
-# inverse_nonpositive_check
+# the lemma: a negative definite Gram with off-diagonal entries >= 0 has an
+# inverse <= 0, checked with sympy alone
 # ---------------------------------------------------------------------------
 
 
 def test_inverse_check_examples():
-    assert inverse_nonpositive_check(A2)
+    assert inverse_is_nonpositive(A2)
     inv = linalg.inverse(A2)
     assert inv == linalg.mat([["-2/3", "-1/3"], ["-1/3", "-2/3"]])
-    assert inverse_nonpositive_check(linalg.mat([[-2]]))
-
-
-def test_inverse_check_rejects_bad_input():
-    with pytest.raises(PreconditionViolated):
-        inverse_nonpositive_check(linalg.mat([[-2, -1], [-1, -2]]))  # negative off-diag
-    with pytest.raises(PreconditionViolated):
-        inverse_nonpositive_check(linalg.mat([[2, 0], [0, 2]]))  # not ND
-    with pytest.raises(PreconditionViolated):
-        inverse_nonpositive_check(linalg.mat([[-2, 1], [0, -2]]))  # not symmetric
+    assert inverse_is_nonpositive(linalg.mat([[-2]]))
+    # a negative off-diagonal entry breaks the lemma
+    assert not inverse_is_nonpositive(linalg.mat([[-2, -1], [-1, -2]]))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_inverse_check_on_random_ade_grams(seed):
     g = random_ade_gram(seed)
-    assert is_negative_definite(g)
-    assert inverse_nonpositive_check(g)
+    assert is_negative_definite(g) and sympy_matrix(g).is_negative_definite
+    assert all(v >= 0 for i, row in enumerate(g) for j, v in enumerate(row) if i != j)
+    assert inverse_is_nonpositive(g)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,6 @@ def test_kernel_swap_at_the_first_step():
     assert (pivots, swaps, q) == ([1, 1], 1, 1)
     assert linalg.determinant(hyperbolic) == -1
     assert not is_negative_definite(hyperbolic)
-    assert linalg.adjugate(hyperbolic) == (-1, linalg.mat([[0, -1], [-1, 0]]))
     assert linalg.inverse(hyperbolic) == hyperbolic
     assert solve_linear(hyperbolic, linalg.vec([3, 4])) == linalg.vec([4, 3])
 
@@ -199,10 +192,9 @@ def test_kernel_swap_hides_alternating_pivots():
 def test_kernel_negated_e8():
     assert is_negative_definite(NEG_E8)
     assert linalg.determinant(NEG_E8) == 1
-    det, adj = linalg.adjugate(NEG_E8)
-    assert det == 1 and adj == linalg.inverse(NEG_E8)
-    assert all(x.denominator == 1 and x <= -1 for row in adj for x in row)
-    assert linalg.mat_vec(NEG_E8, solve_linear(NEG_E8, adj[7])) == adj[7]
+    inv = linalg.inverse(NEG_E8)
+    assert all(x.denominator == 1 and x <= -1 for row in inv for x in row)
+    assert linalg.mat_vec(NEG_E8, solve_linear(NEG_E8, inv[7])) == inv[7]
     assert linalg.rank(NEG_E8) == 8
 
 
@@ -218,15 +210,13 @@ def test_kernel_halves_and_thirds():
     assert (pivots, swaps, q) == ([-3, 5, -3], 0, 6)
     assert is_negative_definite(THIRDS)
     assert linalg.determinant(THIRDS) == Fraction(-1, 72)
-    assert linalg.adjugate(THIRDS) == (Fraction(-1, 72), linalg.mat(
-        [["5/36", "1/6", "1/9"], ["1/6", "1/4", "1/6"], ["1/9", "1/6", "5/36"]]))
     assert linalg.inverse(THIRDS) == linalg.mat([[-10, -12, -8], [-12, -18, -12], [-8, -12, -10]])
     assert solve_linear(THIRDS, linalg.vec([1, "1/2", 0])) == linalg.vec([-16, -21, -14])
     assert linalg.determinant(linalg.mat([["1/2", "1/3"], ["1/3", "1/2"]])) == Fraction(5, 36)
 
 
 def test_kernel_rejects_non_square():
-    for kernel in (linalg.determinant, linalg.adjugate, linalg.inverse):
+    for kernel in (linalg.determinant, linalg.inverse):
         with pytest.raises(ValueError):
             kernel(linalg.mat([[1, 2]]))
 
@@ -284,17 +274,16 @@ def test_det_adjugate_inverse_solve_agree_with_sympy(data, rhs):
     det = _fraction(ref.det())
     assert linalg.determinant(s) == det
     if det == 0:
-        for kernel in (linalg.adjugate, linalg.inverse):
-            with pytest.raises(SingularMatrix):
-                kernel(s)
+        with pytest.raises(SingularMatrix):
+            linalg.inverse(s)
         with pytest.raises(SingularMatrix):
             solve_linear(s, b)
         return
     if n == 0:
-        assert linalg.adjugate(s) == (1, ()) and linalg.inverse(s) == () == solve_linear(s, b)
+        assert linalg.inverse(s) == () == solve_linear(s, b)
         return
+    # the inverse against sympy's adjugate over its determinant
     adj = tuple(tuple(_fraction(x) for x in ref.adjugate().row(i)) for i in range(n))
-    assert linalg.adjugate(s) == (det, adj)
     assert linalg.inverse(s) == tuple(tuple(x / det for x in row) for row in adj)
     x = ref.LUsolve(_sympy_matrix([[y] for y in b], 1))
     assert solve_linear(s, b) == tuple(_fraction(y) for y in x)
