@@ -4,9 +4,9 @@ Every subcommand prints a deterministic JSON report on standard output
 (reports carry a top-level schema_version).  Exit codes: 0 on success, 2 on
 invalid input or input over a size limit (size_limit), 3 when a query is
 mathematically infeasible (non-big divisor, non-negative-definite curve
-set), 4 when an internal invariant check fails (a bug,
-reported as internal_invariant) or another failure inside the package
-occurs.  Each error class in ``errors`` carries its exit code.
+set), 4 when an internal invariant check fails (a bug, reported as
+internal_invariant) or another failure inside the package occurs.  Each
+error class in ``errors`` carries its exit code.
 
 Every intersection number in a report comes from the model's one integer
 form (``SurfaceModel.pairing_form``): ``model.pair`` evaluates it, and the
