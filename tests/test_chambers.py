@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -664,6 +665,42 @@ def test_weyl_atlas_reuses_a_certificate_only_where_its_rows_recur():
     assert records == weyl_records_exhaustive(m)
     supports = [r.support for r in records]
     assert (0, 1, 2) in supports and (0, 2) not in supports
+
+
+# the benchmark's sparse pool graphs (6/6/12/6 graphs at n = 6/7/8/9, in
+# their own curve order) and the two dense graphs that catch an unsound
+# Chernikov mask
+FM_PIN_MODELS = [(g, n, 0.2) for n, k in ((6, 6), (7, 6), (8, 12), (9, 6)) for g in range(k)]
+FM_PIN_MODELS += [(9, 6, 0.5), (4, 7, 0.5)]
+
+
+def test_fourier_motzkin_outputs_of_the_weyl_atlas_are_pinned(monkeypatch):
+    """Every fm_feasible call that the Weyl atlas makes on these models, as
+    (feasible, sample, certificate multipliers) in call order, hashed.  No
+    report prints a certificate, and a report's witness is one sample, so
+    this pin guards the rest of Fourier-Motzkin's output."""
+    digest = hashlib.sha256()
+    calls = 0
+    real = linalg.fm_feasible
+
+    def recording(problem):
+        nonlocal calls
+        res = real(problem)
+        cert = res.certificate
+        digest.update(("%s|%s|%s|%s\n" % (
+            res.feasible,
+            None if res.sample is None else ",".join(map(str, res.sample)),
+            None if cert is None else cert.strict,
+            None if cert is None else cert.nonneg,
+        )).encode())
+        calls += 1
+        return res
+
+    monkeypatch.setattr(linalg, "fm_feasible", recording)
+    for seed, n, density in FM_PIN_MODELS:
+        enumerate_weyl_chambers(gallery.random_configuration(seed, n, density))
+    assert calls == 1148
+    assert digest.hexdigest() == "a0e7568ed164e15152e221a4fc496956e38ab25cee262b607c9873377e31fb9f"
 
 
 def test_twelve_curve_model_finishes_under_a_memory_cap():
