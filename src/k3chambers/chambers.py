@@ -187,8 +187,15 @@ def _hereditary_search(m: SurfaceModel, comp: tuple[int, ...]) -> dict[tuple[int
     to its witness solution: the a_j, j in the set, with
     (H + sum(a_j C_j)) . C_k = -1 for every k in it.  Breadth-first growth:
     a set grows only by curves after its last, and one elimination per
-    candidate both tests it and solves it."""
-    h = model.ample_pairings(m)
+    candidate both tests it and solves it.  The candidates are solved on
+    the integer curve Gram ``K = c G`` against the right-hand side times c,
+    which has the same solution and the same definiteness."""
+    model.check_curve_indices(m, comp)
+    k, c = m.integer_curve_gram
+    # plain ints where integral, as always in configuration mode, whose c
+    # clears the ample pairings' denominators too
+    rhs = [c * (-1 - x) for x in model.ample_pairings(m)]
+    rhs = [int(x) if x.denominator == 1 else x for x in rhs]
     family: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while frontier:
@@ -197,7 +204,7 @@ def _hereditary_search(m: SurfaceModel, comp: tuple[int, ...]) -> dict[tuple[int
             for pos in range(start, len(comp)):
                 t = s + (comp[pos],)
                 sols = linalg.solve_negative_definite(
-                    model.restrict_gram(m, t), [[-1 - h[j] for j in t]]
+                    tuple([tuple([k[i][j] for j in t]) for i in t]), [[rhs[j] for j in t]]
                 )
                 if sols is not None:
                     family[t] = sols[0]

@@ -10,7 +10,11 @@ solutions off the same elimination; ``is_negative_definite`` is its k = 0
 call.  ``signature`` keeps its own symmetric elimination, whose step at a
 zero diagonal is a congruence, not an elimination step.  The module ends with
 an exact Fourier-Motzkin feasibility test for systems of strict linear sign
-constraints.
+constraints.  Its inner loops run on plain integers: each row's primitive
+integer form (``SignConstraint.integer_row``), the combination and dedupe of
+rows, the back-substitution, which makes one Fraction per coordinate of the
+sample, and the walk of an infeasibility certificate back to the input rows.
+The sample and the certificate are still checked against the rational rows.
 """
 
 from __future__ import annotations
@@ -274,24 +278,30 @@ class SignConstraint:
     def integer_row(self) -> tuple[tuple[int, ...], int, bool]:
         """The constraint as a primitive integer row ``a . x + c > 0``
         (negated for ``<``), computed once per row and checked to be a
-        positive multiple of the rational row."""
+        positive multiple of the rational row.  Both run on the entries'
+        numerators and denominators, with no Fraction arithmetic: for the
+        integer entries r, the rational entries n / d and the first nonzero
+        rational entry p, the check is ``r_k d_k n_p == r_p d_p n_k`` for
+        every k and ``sign * n_p * r_p > 0``."""
         sign = self.sign
-        den = math.lcm(self.constant.denominator, *(c.denominator for c in self.coeffs))
-        ints = [sign * int(c * den) for c in self.coeffs]
-        ci = sign * int(self.constant * den)
-        g = math.gcd(ci, *ints)
+        entries = (*self.coeffs, self.constant)
+        nums = [x.numerator for x in entries]
+        dens = [x.denominator for x in entries]
+        den = math.lcm(*dens)
+        ints = [sign * p * (den // d) for p, d in zip(nums, dens)]
+        g = math.gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
-            ci //= g
-        rational = [sign * Fraction(x) for x in (*self.coeffs, self.constant)]
-        integral = [*ints, ci]
-        pivot = next((k for k, y in enumerate(rational) if y), None)
-        scale = 1 if pivot is None else integral[pivot] / rational[pivot]
-        require(
-            scale > 0 and all(x == scale * y for x, y in zip(integral, rational)),
-            "SignConstraint.integer_row: not a positive multiple of the row",
-        )
-        return (tuple(ints), ci, True)
+        pivot = next((k for k, p in enumerate(nums) if p), None)
+        if pivot is None:
+            holds = not any(ints)
+        else:
+            top, scaled = nums[pivot], ints[pivot] * dens[pivot]
+            holds = sign * top * ints[pivot] > 0 and all(
+                r * d * top == scaled * p for r, p, d in zip(ints, nums, dens)
+            )
+        require(holds, "SignConstraint.integer_row: not a positive multiple of the row")
+        return (tuple(ints[:-1]), ints[-1], True)
 
 
 @dataclass(frozen=True)
@@ -350,16 +360,21 @@ def _dedupe(rows: Iterable[_Row]) -> list[_Row]:
     # and no more origins, so the rule never drops it.  Keeping the strongest
     # row's own origins instead can drop the only row that carries a bound.
     # The intersected mask is therefore no record of how the row was built.
-    best: dict[tuple[int, ...], tuple[int, bool, int, object]] = {}
-    for a, c, strict, origins, derivation in rows:
+    # A kept row is the tuple given; a new one is built only when its mask
+    # shrinks.
+    best: dict[tuple[int, ...], _Row] = {}
+    for row in rows:
+        a, c, strict, origins, _ = row
         cur = best.get(a)
         if cur is None:
-            best[a] = (c, strict, origins, derivation)
-        elif (c, not strict) < (cur[0], not cur[1]):
-            best[a] = (c, strict, origins & cur[2], derivation)
-        else:
-            best[a] = (cur[0], cur[1], origins & cur[2], cur[3])
-    return [(a, *kept) for a, kept in best.items()]
+            best[a] = row
+            continue
+        common = origins & cur[3]
+        if c < cur[1] or (c == cur[1] and strict and not cur[2]):
+            best[a] = row if common == origins else (a, c, strict, common, row[4])
+        elif common != cur[3]:
+            best[a] = (a, cur[1], cur[2], common, cur[4])
+    return list(best.values())
 
 
 def _combine(low: _Row, up: _Row, v: int, limit: int) -> _Row | None:
@@ -372,44 +387,49 @@ def _combine(low: _Row, up: _Row, v: int, limit: int) -> _Row | None:
     la, lc, ls, _, _ = low
     ua, uc, us, _, _ = up
     lam, mu = -ua[v], la[v]  # both > 0
-    coeffs = tuple(lam * x + mu * y for x, y in zip(la, ua))
+    coeffs = [lam * x + mu * y for x, y in zip(la, ua)]
     const = lam * lc + mu * uc
     strict = ls or us
-    g = math.gcd(const, *(abs(x) for x in coeffs)) or 1
+    g = math.gcd(const, *coeffs) or 1
     if g > 1:
-        coeffs = tuple(x // g for x in coeffs)
+        coeffs = [x // g for x in coeffs]
         const //= g
     derivation = (lam, mu, g, low, up)
-    if all(x == 0 for x in coeffs):
+    if not any(coeffs):
         if const > 0 or (const == 0 and not strict):
             return None
         raise _Infeasible(derivation)
-    return (coeffs, const, strict, origins, derivation)
+    return (tuple(coeffs), const, strict, origins, derivation)
 
 
 def _certificate(problem: LinearSystemFeasibility, derivation) -> InfeasibilityCertificate:
     """Walk a contradicting row's derivation back to multipliers over the
-    input rows, then check them exactly against the rational rows."""
+    input rows, in integers over one denominator per derived row, then
+    check them exactly against the rational rows."""
     rows = problem.strict_rows
     n = problem.num_vars
-    memo: dict[int, dict[int, Fraction]] = {}
+    memo: dict[int, tuple[dict[int, int], int]] = {}
 
-    def expand(d) -> dict[int, Fraction]:
-        # multipliers over the input rows, keyed as in the derivations,
-        # whose combination of the integer input rows is the row d built
+    def expand(d) -> tuple[dict[int, int], int]:
+        # integer multipliers over the input rows, keyed as in the
+        # derivations, and a denominator e > 0: the combination of the
+        # integer input rows with the multipliers over e is the row d built
         if isinstance(d, int):
-            return {d: Fraction(1)}
-        y = memo.get(id(d))
-        if y is None:
+            return {d: 1}, 1
+        found = memo.get(id(d))
+        if found is None:
             lam, mu, g, low, up = d
-            y = {}
-            for weight, parent in ((Fraction(lam, g), low), (Fraction(mu, g), up)):
-                for key, x in expand(parent[4]).items():
-                    y[key] = y.get(key, 0) + weight * x
-            memo[id(d)] = y
-        return y
+            (yl, el), (yu, eu) = expand(low[4]), expand(up[4])
+            # (lam * low + mu * up) / g over the denominator g * el * eu
+            y = {key: lam * eu * x for key, x in yl.items()}
+            for key, x in yu.items():
+                y[key] = y.get(key, 0) + mu * el * x
+            e = g * el * eu
+            r = math.gcd(e, *y.values())
+            found = memo[id(d)] = ({key: x // r for key, x in y.items()}, e // r)
+        return found
 
-    y = expand(derivation)
+    y, e = expand(derivation)
     strict = [Fraction(0)] * len(rows)
     nonneg = [Fraction(0)] * n
     for key, x in y.items():
@@ -419,9 +439,9 @@ def _certificate(problem: LinearSystemFeasibility, derivation) -> InfeasibilityC
             row = rows[key]
             a, c, _ = row.integer_row
             pairs = zip((*a, c), (*row.coeffs, row.constant))
-            strict[key] = x * next((p / (row.sign * q) for p, q in pairs if q), 1)
+            strict[key] = Fraction(x, e) * next((p / (row.sign * q) for p, q in pairs if q), 1)
         else:
-            nonneg[~key] = x
+            nonneg[~key] = Fraction(x, e)
     den = math.lcm(*(x.denominator for x in (*strict, *nonneg)))
     cert = InfeasibilityCertificate(
         tuple(int(x * den) for x in strict), tuple(int(x * den) for x in nonneg)
@@ -472,14 +492,17 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
     redundant are never built, which keeps the row count from growing doubly
     exponentially with the number of variables.  Each row enters in the
     integer form its SignConstraint caches, so a row shared by many systems
-    is normalized once.  When the system is feasible, a rational sample point is
-    reconstructed by back-substituting interval midpoints in integers over a
-    common denominator, then checked exactly against every original row and
-    nonnegativity bound.  When it is infeasible, the contradicting row's
-    derivation is walked back to an InfeasibilityCertificate over the input
-    rows, checked exactly against the rational rows in the same way.  A
-    stage that would combine more than ``MAX_FM_ROWS`` pairs of rows, or
-    keep more than ``MAX_FM_ROWS`` rows, raises SizeLimit.
+    is normalized once, and the elimination runs on plain integers.  When
+    the system is feasible, a rational sample point is reconstructed by
+    back-substituting interval midpoints in integers over a common
+    denominator, each one a reduced integer pair, then checked exactly
+    against every original rational row (not against the cached integer
+    forms) and every nonnegativity bound.  When it is infeasible, the
+    contradicting row's derivation is walked back, in integers, to an
+    InfeasibilityCertificate over the input rows, checked exactly against
+    the rational rows in the same way.  A stage that would combine more
+    than ``MAX_FM_ROWS`` pairs of rows, or keep more than ``MAX_FM_ROWS``
+    rows, raises SizeLimit.
     """
     n = problem.num_vars
     for row in problem.strict_rows:
@@ -561,12 +584,13 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                 hi = (p, q, strict)
             elif p * hi[1] == hi[0] * q and strict:
                 hi = (p, q, True)
+        # den * x_v as the reduced pair p / q, q > 0
         if lo is None and hi is None:
-            x = Fraction(0)
+            p, q = 0, 1
         elif hi is None:
-            x = Fraction(lo[0] + den * lo[1], lo[1])
+            p, q = lo[0] + den * lo[1], lo[1]
         elif lo is None:
-            x = Fraction(hi[0] - den * hi[1], hi[1])
+            p, q = hi[0] - den * hi[1], hi[1]
         else:
             # the bounds lo[0] / lo[1] and hi[0] / hi[1] over the denominator
             # lo[1] * hi[1]; the midpoint is their mean
@@ -575,25 +599,28 @@ def fm_feasible(problem: LinearSystemFeasibility) -> FeasibilityResult:
                 low < high or (low == high and not lo[2] and not hi[2]),
                 "fm_feasible: empty interval after feasible elimination",
             )
-            x = Fraction(low + high, 2 * lo[1] * hi[1])
-        if x.denominator > 1:
-            den *= x.denominator
-            num = [y * x.denominator for y in num]
-        num[v] = x.numerator
+            p, q = low + high, 2 * lo[1] * hi[1]
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if q > 1:
+            den *= q
+            num = [y * q for y in num]
+        num[v] = p
 
     # every original row, checked exactly from its rational coefficients:
-    # value = scale * den * (coeffs . sample + constant) with scale, den > 0
+    # value = scale * den * (coeffs . sample + constant) with scale, den > 0;
+    # a zero coefficient adds nothing
     for row in problem.strict_rows:
-        terms = (*zip(row.coeffs, num), (row.constant, den))
-        scale = math.lcm(*(c.denominator for c, _ in terms))
-        value = sum(c.numerator * (scale // c.denominator) * y for c, y in terms)
+        terms = [(c.numerator, c.denominator, y) for c, y in zip(row.coeffs, num) if c]
+        terms.append((row.constant.numerator, row.constant.denominator, den))
+        scale = math.lcm(*[d for _, d, _ in terms])
+        value = sum([p * (scale // d) * y for p, d, y in terms])
         require(
             value < 0 if row.sense == SENSE_LT else value > 0,
             "fm_feasible: sample point violates an original constraint",
         )
-    point = tuple(Fraction(y, den) for y in num)
     require(
-        all(point[v] >= 0 for v in problem.nonneg_vars),
+        all(num[v] >= 0 for v in problem.nonneg_vars),
         "fm_feasible: sample point violates nonnegativity",
     )
-    return FeasibilityResult(True, point)
+    return FeasibilityResult(True, tuple(Fraction(y, den) for y in num))

@@ -11,6 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers_oracle import (
     criteria_cells,
@@ -665,6 +666,65 @@ def test_weyl_atlas_reuses_a_certificate_only_where_its_rows_recur():
     assert records == weyl_records_exhaustive(m)
     supports = [r.support for r in records]
     assert (0, 1, 2) in supports and (0, 2) not in supports
+
+
+def _search_on_rational_grams(m, comp):
+    """The hereditary search as it ran before it used the integer curve
+    Gram: each candidate solved on its restricted Fraction Gram against
+    -1 - H.C_j."""
+    h = model.ample_pairings(m)
+    family = {}
+    frontier = [((), 0)]
+    while frontier:
+        grown = []
+        for s, start in frontier:
+            for pos in range(start, len(comp)):
+                t = s + (comp[pos],)
+                sols = linalg.solve_negative_definite(
+                    model.restrict_gram(m, t), [[-1 - h[j] for j in t]]
+                )
+                if sols is not None:
+                    family[t] = sols[0]
+                    grown.append((t, pos + 1))
+        frontier = grown
+    return family
+
+
+_scales = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60)
+
+
+@st.composite
+def _search_models(draw):
+    """A gallery model with its lattice form scaled by p / q, q in 3, 5, 7
+    not dividing p (so the curve Gram and the ample pairings get a non-unit
+    denominator), or a small random configuration with rational ample
+    pairings."""
+    if draw(st.booleans()):
+        m = gallery.gallery_entry(draw(st.sampled_from(gallery.GALLERY_IDS))).model
+        q = draw(st.sampled_from((3, 5, 7)))
+        r = Fraction(draw(st.integers(min_value=1, max_value=60).filter(lambda p: p % q)), q)
+        return model.full_lattice_model(
+            [[r * x for x in row] for row in m.gram],
+            [(c.name, c.coords) for c in m.curves],
+            m.ample_coords,
+        )
+    n = draw(st.integers(min_value=1, max_value=7))
+    m = gallery.random_configuration(
+        draw(st.integers(min_value=0, max_value=10**6)), n, draw(st.sampled_from((0.2, 0.5)))
+    )
+    dots = draw(st.lists(_scales, min_size=n, max_size=n))
+    return model.configuration_model(m.gram, model.curve_names(m), dots, draw(_scales))
+
+
+@settings(max_examples=80)
+@given(_search_models())
+def test_search_on_the_integer_gram_matches_the_rational_search(m):
+    """Same members, in the same order, with the same witness solutions."""
+    if m.mode is model.Mode.FULL_LATTICE:
+        assert m.integer_curve_gram[1] > 1
+    for comp in chambers._curve_components(m, range(model.curve_count(m))):
+        found = chambers._hereditary_search(m, comp)
+        assert list(found.items()) == list(_search_on_rational_grams(m, comp).items())
 
 
 # the benchmark's sparse pool graphs (6/6/12/6 graphs at n = 6/7/8/9, in

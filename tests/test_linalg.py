@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 import random
 import time
@@ -572,6 +573,47 @@ def test_integer_row_is_the_primitive_positive_multiple():
     assert row.integer_row == ((-6, 9), -4, True)
     row = SignConstraint(linalg.vec([4, -6]), Fraction(2), ">")
     assert row.integer_row == ((2, -3), 1, True)
+
+
+def _integer_row_in_fractions(row):
+    """integer_row's earlier formula, in Fraction arithmetic: scale by the
+    lcm of the denominators, divide by the gcd, and read the scale off the
+    first nonzero entry."""
+    sign = row.sign
+    den = math.lcm(row.constant.denominator, *(c.denominator for c in row.coeffs))
+    ints = [sign * int(c * den) for c in row.coeffs]
+    ci = sign * int(row.constant * den)
+    g = math.gcd(ci, *ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+        ci //= g
+    rational = [sign * Fraction(x) for x in (*row.coeffs, row.constant)]
+    integral = [*ints, ci]
+    pivot = next((k for k, y in enumerate(rational) if y), None)
+    scale = 1 if pivot is None else integral[pivot] / rational[pivot]
+    assert scale > 0 and all(x == scale * y for x, y in zip(integral, rational))
+    return (tuple(ints), ci, True)
+
+
+_row_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(max_denominator=10**12).filter(lambda x: abs(x.numerator) < 10**15),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_row_entries, min_size=0, max_size=8),
+    _row_entries,
+    st.sampled_from(("<", ">")),
+)
+@example([], Fraction(0), "<")
+@example([Fraction(0), Fraction(0)], Fraction(0), ">")
+@example([Fraction(0), Fraction(3, 10**12)], Fraction(0), "<")
+def test_integer_row_matches_the_fraction_formula(coeffs, constant, sense):
+    row = SignConstraint(tuple(coeffs), constant, sense)
+    assert row.integer_row == _integer_row_in_fractions(row)
 
 
 def test_corrupted_integer_row_trips_the_sample_check():
