@@ -6,7 +6,10 @@ invalid input or input over a size limit (size_limit), 3 when a query is
 mathematically infeasible (non-big divisor, non-negative-definite curve
 set), 4 when an internal invariant check fails (a bug, reported as
 internal_invariant) or another failure inside the package occurs.  Each
-error class in ``errors`` carries its exit code.
+error class in ``errors`` carries its exit code.  Every non-zero exit
+writes a report with ``error.code``, except 141 (``CLOSED_STDOUT_EXIT``):
+stdout was closed before the report was written (``... | head -1``), and
+the command ends quietly, with no traceback.
 
 Every intersection number in a report comes from the model's one integer
 form (``SurfaceModel.pairing_form``): ``model.pair`` evaluates it, and the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -37,6 +41,10 @@ from . import chambers, gallery, model, plot, zariski
 from .errors import InvalidModel, InvariantViolated, K3ChambersError, SizeLimit
 
 SCHEMA_VERSION = 1
+
+# exit status when stdout is closed before the report is written: 128 +
+# SIGPIPE, the status a shell shows for a writer that the signal ended
+CLOSED_STDOUT_EXIT = 141
 
 _ASSUMPTION_NOTE = (
     "note: nef/big verdicts are relative to the listed curve classes; "
@@ -446,6 +454,24 @@ def _error_doc(exc: Exception, code: str) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit status.  When standard
+    output is closed before the whole report is written (``k3chambers ...
+    | head -1``), stdout is pointed at the null device, so that the
+    interpreter's exit flush raises nothing either, and the status is
+    ``CLOSED_STDOUT_EXIT``, with no traceback."""
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT_EXIT
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)

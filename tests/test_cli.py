@@ -610,6 +610,37 @@ def test_entry_point_subprocess(quartic_file):
     assert json.loads(proc.stdout)["coincide"] is False
 
 
+@pytest.mark.parametrize("command", ["gallery", "chambers"])
+def test_closed_stdout_ends_quietly(capsys, tmp_path, command):
+    """A reader that closes stdout early (``| head -1``) ends the command
+    with CLOSED_STDOUT_EXIT and no traceback.  The child's stdout is a pipe
+    whose read end is closed before it starts, so every write fails.  The
+    chambers report is larger than a pipe buffer (64 KiB on Linux), so it
+    fails inside the report write, not at the exit flush."""
+    if command == "gallery":
+        argv = ["gallery", "quartic"]
+    else:
+        path = tmp_path / "random9.json"
+        assert cli.main(["random", "--seed", "0", "--n", "9", "--density", "0.2"]) == 0
+        path.write_text(capsys.readouterr().out)
+        argv = ["chambers", str(path)]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out) > 1 << 16
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3chambers", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.CLOSED_STDOUT_EXIT == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_corrupted_pairing_rows_exit_4(capsys, tmp_path, monkeypatch):
     """A configuration model validates without its pairing rows, so wrong
     rows reach the witness check, which reports them as a typed error."""
